@@ -13,17 +13,11 @@ from typing import Optional
 
 from .errors import WindowTooSmall
 from .folding import Color, PatternPatch
-from .lattice import Seg, Vertex, _layer_data, line_of, unit_tile_segments, v2
+from .lattice import Seg, incident_segments, layer_of, line_of, v2
 from .substitution import class_index
 
 RED = Color.RED
-
-
-def incident_segments(vertex: Vertex) -> tuple[Seg, ...]:
-    """The six unit segments at a vertex, counterclockwise from east."""
-    p, q = vertex
-    return (Seg(1, p, q), Seg(3, p, q), Seg(2, p - 1, q + 1),
-            Seg(1, p - 1, q), Seg(3, p, q - 1), Seg(2, p, q))
+BLUE = Color.BLUE
 
 
 def star_class(star: str) -> str:
@@ -65,27 +59,19 @@ def disallowed_stars(patch: PatternPatch) -> dict[str, int]:
             if not star_allowed(s)}
 
 
-def _decorated_counts(patch: PatternPatch) -> dict[tuple[int, int, Optional[int]], int]:
+def decorated_type_counts(patch: PatternPatch) -> dict[tuple[int, int, Optional[int]], int]:
+    """Counts per translation type (orientation, red count, decoration
+    slot) over fully colored tiles; 16 types in all, 12 of them
+    decorated."""
     out: dict[tuple[int, int, Optional[int]], int] = {}
-    get = patch.colors.get
-    for o, p, q in patch.region.iter_tile_anchors():
-        s1, s2, s3 = unit_tile_segments(o, p, q)
-        c1 = get(s1)
-        if c1 is None:
-            continue
-        c2 = get(s2)
-        if c2 is None:
-            continue
-        c3 = get(s3)
-        if c3 is None:
-            continue
-        reds = (c1 is RED) + (c2 is RED) + (c3 is RED)
+    for tri, cols in patch.full_tiles():
+        reds = cols.count(RED)
         slot: Optional[int] = None
         if reds == 1:
-            slot = 1 if c1 is RED else 2 if c2 is RED else 3
+            slot = 1 + cols.index(RED)
         elif reds == 2:
-            slot = 1 if c1 is not RED else 2 if c2 is not RED else 3
-        key = (o, reds, slot)
+            slot = 1 + cols.index(BLUE)
+        key = (tri.orientation, reds, slot)
         out[key] = out.get(key, 0) + 1
     return out
 
@@ -93,7 +79,7 @@ def _decorated_counts(patch: PatternPatch) -> dict[tuple[int, int, Optional[int]
 def tile_class_counts(patch: PatternPatch) -> tuple[int, ...]:
     """Tile counts per rotation class, over fully colored tiles."""
     counts = [0] * 8
-    for (o, reds, _), n in _decorated_counts(patch).items():
+    for (o, reds, _), n in decorated_type_counts(patch).items():
         counts[class_index(o, reds)] += n
     return tuple(counts)
 
@@ -105,12 +91,6 @@ def empirical_densities(patch: PatternPatch) -> tuple[Fraction, ...]:
     if total == 0:
         raise WindowTooSmall("no fully colored tiles in window")
     return tuple(Fraction(c, total) for c in counts)
-
-
-def decorated_type_counts(patch: PatternPatch) -> dict[tuple[int, int, Optional[int]], int]:
-    """Counts per translation type (orientation, red count, decoration
-    slot); 16 types in all, 12 of them decorated."""
-    return _decorated_counts(patch)
 
 
 def period_check(patch: PatternPatch, max_norm: int) -> list[tuple[int, int]]:
@@ -142,7 +122,7 @@ def period_check(patch: PatternPatch, max_norm: int) -> list[tuple[int, int]]:
 def filter_layer(patch: PatternPatch, k: int) -> PatternPatch:
     """Restrict the window coloring to layer-k segments."""
     colors = {s: c for s, c in patch.colors.items()
-              if _layer_data(*s)[0] == k}
+              if layer_of(s) == k}
     return PatternPatch(patch.region, colors, patch.boundary)
 
 

@@ -11,60 +11,33 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, folding, patternio, spectral, substitution, tiling, unfold
 from .errors import Inconsistent, TrifoldError, Undecidable
 from .folding import FoldingSequence, PatternPatch
-from .lattice import BallRegion, standard_region
 
 
-def _colored_patch(seq_text: str, size: int | None, ball: int | None,
-                   threads: int) -> tuple[PatternPatch, str]:
+def _colored_patch(seq_text: str, size: int | None,
+                   ball: int | None) -> tuple[PatternPatch, str]:
     if "," in seq_text:
         folds = unfold.parse_mixed_word(seq_text)
         if ball is not None:
             raise SystemExit("mixed foldings render on triangle windows only")
         return unfold.unfold_pattern(folds), seq_text
     seq = FoldingSequence.parse(seq_text)
-    if ball is None and size is None:
+    if ball is not None:
+        return folding.ball_patch(seq, ball), str(seq)
+    if size is None:
         if not seq.finite:
             raise SystemExit("periodic sequences need --size or --ball")
         size = len(seq.word)
-
-    if threads <= 1:
-        if ball is not None:
-            return folding.ball_patch(seq, ball), str(seq)
-        return folding.patch(seq, size), str(seq)
-
-    # threaded path: same segments, colored per chunk, merged in order
-    if ball is not None:
-        region = BallRegion(ball)
-        boundary = frozenset()
-        segs = sorted(region.iter_interior_segments())
-    else:
-        region = standard_region(size)
-        boundary = frozenset(region.iter_boundary_segments())
-        segs = sorted(region.iter_interior_segments())
-        if seq.defined_through(size + 1):
-            segs.extend(sorted(boundary))
-
-    def colorize(chunk):
-        return [folding.color_of_segment(seq, s) for s in chunk]
-
-    chunks = [segs[i::threads] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(colorize, chunks))
-    colors = {}
-    for chunk, cols in zip(chunks, results):
-        colors.update(zip(chunk, cols))
-    return PatternPatch(region, colors, boundary), str(seq)
+    return folding.patch(seq, size), str(seq)
 
 
 def cmd_generate(args) -> int:
-    patch, seq = _colored_patch(args.seq, args.size, args.ball, args.threads)
+    patch, seq = _colored_patch(args.seq, args.size, args.ball)
     text = patternio.write_pattern(patch, seq)
     Path(args.out).write_text(text)
     print(f"wrote {args.out}: {len(patch.colors)} segments")
@@ -112,14 +85,14 @@ def cmd_density(args) -> int:
     return 0
 
 
-def _cross_check(word: str, threads: int) -> list[str]:
+def _cross_check(word: str, methods: list[str]) -> dict[str, PatternPatch]:
     k = len(word)
-    seq = FoldingSequence(word)
-    outputs = {}
-    outputs["closed"], _ = _colored_patch(word, k, None, threads)
-    outputs["unfold"] = unfold.unfold_pattern(unfold.uniform_word(word))
-    outputs["subst"] = substitution.compose(word, 1, substitution.folding_seed(k))
-    return outputs
+    build = {
+        "closed": lambda: folding.patch(FoldingSequence(word), k),
+        "unfold": lambda: unfold.unfold_pattern(unfold.uniform_word(word)),
+        "subst": lambda: substitution.compose(word, 1, substitution.folding_seed(k)),
+    }
+    return {m: build[m]() for m in methods}
 
 
 def cmd_verify(args) -> int:
@@ -139,7 +112,7 @@ def cmd_verify(args) -> int:
         return 2
     bad = 0
     for word in words:
-        patches = _cross_check(word, args.threads)
+        patches = _cross_check(word, methods)
         base = methods[0]
         for other in methods[1:]:
             diff = folding.interior_mismatches(patches[base], patches[other])
@@ -176,12 +149,12 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_stars(args) -> int:
-    patch, _ = _colored_patch(args.seq, args.size, args.ball, args.threads)
+    patch, _ = _colored_patch(args.seq, args.size, args.ball)
     hist = analysis.vertex_star_histogram(patch)
+    bad = [star for star in hist if not analysis.star_allowed(star)]
     for star in sorted(hist):
-        mark = "" if analysis.star_allowed(star) else " DISALLOWED"
+        mark = " DISALLOWED" if star in bad else ""
         print(f"{star} {hist[star]}{mark}")
-    bad = analysis.disallowed_stars(patch)
     print(f"allowed: {'true' if not bad else 'false'}")
     if args.assert_allowed and bad:
         return 1
@@ -189,7 +162,7 @@ def cmd_stars(args) -> int:
 
 
 def cmd_period(args) -> int:
-    patch, _ = _colored_patch(args.seq, args.size, args.ball, args.threads)
+    patch, _ = _colored_patch(args.seq, args.size, args.ball)
     if args.layer:
         patch = analysis.filter_layer(patch, args.layer)
     survivors = analysis.period_check(patch, args.max_norm)
@@ -217,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="triangle window exponent k (side 2^k)")
         p.add_argument("--ball", type=int, default=None,
                        help="ball window radius (instead of --size)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored")
 
     p = sub.add_parser("generate", help="write a pattern file")
     add_window(p)
@@ -253,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also check N random words")
     p.add_argument("--length", type=int, default=5)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and ignored")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reconstruct", help="rebuild a pattern from a tiling file")

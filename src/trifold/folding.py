@@ -17,14 +17,16 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable, Iterable, Optional
 
-from .errors import IncompatibleSequences, MalformedLayer, OutOfRegion
+from .errors import IncompatibleSequences, OutOfRegion
 from .lattice import (
     BallRegion,
     Region,
     Seg,
     Triangle,
     TriRegion,
-    _layer_data,
+    layer_data,
+    layer_kernel,
+    layer_of,
     standard_region,
     unit_tile_segments,
 )
@@ -120,12 +122,9 @@ class PatternPatch:
         return self.colors.get(seg)
 
     def translate(self, a: int, b: int) -> "PatternPatch":
-        if isinstance(self.region, TriRegion):
-            region = TriRegion(self.region.w1 - 3 * b,
-                               self.region.w2 + 3 * (a + b),
-                               self.region.w3 - 3 * a)
-        else:
+        if not isinstance(self.region, TriRegion):
             raise ValueError("only triangular patches translate")
+        region = TriRegion(*Triangle(*self.region).translate(a, b))
         colors = {s.translate(a, b): c for s, c in self.colors.items()}
         boundary = frozenset(s.translate(a, b) for s in self.boundary)
         return PatternPatch(region, colors, boundary)
@@ -147,9 +146,11 @@ class PatternPatch:
             yield Triangle.unit_from_anchor(o, p, q), (c1, c2, c3)
 
 
-def _red(seq: FoldingSequence, d: int, p: int, q: int) -> bool:
-    k, positive = _layer_data(d, p, q)
-    return positive ^ (not k & 1) ^ (seq.a(k) == DOWN)
+def _layer_colors(seq: FoldingSequence, k: int) -> tuple[Color, Color]:
+    """Colors of layer-k segments on (negative, positive) layer triangles."""
+    if (k & 1) ^ (seq.a(k) == DOWN):
+        return Color.BLUE, Color.RED
+    return Color.RED, Color.BLUE
 
 
 def color_of_segment(seq: FoldingSequence, seg: Seg) -> Color:
@@ -158,75 +159,32 @@ def color_of_segment(seq: FoldingSequence, seg: Seg) -> Color:
         region = standard_region(len(seq.word))
         if not region.contains_interior(seg):
             raise OutOfRegion(f"{seg} is not interior to the side-2^{len(seq.word)} patch")
-    return Color.RED if _red(seq, *seg) else Color.BLUE
-
-
-def _down_bits(seq: FoldingSequence, kmax: int) -> list[bool]:
-    # bits[k-1] holds (a_k == DOWN) for layer k
-    return [seq.a(k) == DOWN for k in range(1, kmax + 1)]
+    k, positive = layer_data(seg)
+    return _layer_colors(seq, k)[positive]
 
 
 def patch(seq: FoldingSequence, k: int) -> PatternPatch:
     """Pattern inside the side-2^k triangle centered at O.
 
-    Interior segments are always colored; the boundary (layer k+1) is
-    colored too when a_{k+1} is defined, and stays flagged either way.
+    Interior segments are always colored, one grid line at a time; the
+    boundary (layer k+1) is colored too when a_{k+1} is defined, and
+    stays flagged either way.
     """
     if not seq.defined_through(k):
         raise OutOfRegion(f"need {k} folds, sequence has {len(seq.word)}")
     region = standard_region(k)
-    bits = _down_bits(seq, k) if k else []
-    red = Color.RED
-    blue = Color.BLUE
-    sign = 1 if k % 2 == 0 else -1
-    w2 = 2 * (-2) ** k  # doubled side-line value
+    palette = {layer: _layer_colors(seq, layer) for layer in range(1, k + 2)
+               if seq.defined_through(layer)}
     colors: dict[Seg, Color] = {}
-
-    # One fused pass: midpoint bounds, layer, layer-triangle orientation.
-    pmin, pmax, qmin, qmax = region._vertex_ranges()
-    top = ((-2) ** k + 2) // 3
-    for q in range(qmin, qmax + 1):
-        f1 = 2 - 6 * q
-        for p in range(pmin, pmax + 1):
-            if sign * (p + q) > sign * top:
-                continue
-            f2 = 6 * (p + q) - 4
-            f3 = 2 - 6 * p
-            for d, m1, m2, m3 in ((1, f1, f2 + 3, f3 - 3),
-                                  (2, f1 + 3, f2, f3 - 3),
-                                  (3, f1 - 3, f2 + 3, f3)):
-                if sign * m1 >= sign * w2 or sign * m2 >= sign * w2 \
-                        or sign * m3 >= sign * w2:
-                    continue
-                if d == 1:
-                    v = m1 // 2
-                    oa, ob = m2, m3
-                elif d == 2:
-                    v = m2 // 2
-                    oa, ob = m1, m3
-                else:
-                    v = m3 // 2
-                    oa, ob = m1, m2
-                kk = (v & -v).bit_length()
-                sz = 1 << (kk - 1)
-                r = sz if kk & 1 else -sz
-                r2 = 2 * r
-                step = 6 * sz
-                step2 = 12 * sz
-                tot = v + 2 * r + step * ((oa - r2) // step2) \
-                    + step * ((ob - r2) // step2)
-                if tot == -9 * sz:
-                    is_red = (kk & 1) ^ bits[kk - 1]
-                elif tot == -3 * sz:
-                    is_red = not ((kk & 1) ^ bits[kk - 1])
-                else:
-                    raise MalformedLayer(f"segment ({d},{p},{q})")
-                colors[Seg(d, p, q)] = red if is_red else blue
+    for d, v, segs, mids in region.iter_interior_lines():
+        layer, positive = layer_kernel(d, v, mids)
+        colors.update(zip(segs, map(palette[layer].__getitem__, positive)))
 
     boundary = frozenset(region.iter_boundary_segments())
-    if seq.defined_through(k + 1):
+    if k + 1 in palette:
         for seg in boundary:
-            colors[seg] = red if _red(seq, *seg) else blue
+            layer, positive = layer_data(seg)
+            colors[seg] = palette[layer][positive]
     return PatternPatch(region, colors, boundary)
 
 
@@ -240,11 +198,14 @@ def ball_patch(seq: FoldingSequence, radius: int) -> PatternPatch:
                 raise OutOfRegion(
                     f"radius-{radius} ball exceeds the side-2^{len(seq.word)} patch")
             break
-    red = Color.RED
-    blue = Color.BLUE
+    palette: dict[int, tuple[Color, Color]] = {}
     colors = {}
     for seg in region.iter_interior_segments():
-        colors[seg] = red if _red(seq, *seg) else blue
+        k, positive = layer_data(seg)
+        pair = palette.get(k)
+        if pair is None:
+            pair = palette[k] = _layer_colors(seq, k)
+        colors[seg] = pair[positive]
     return PatternPatch(region, colors)
 
 
@@ -263,7 +224,7 @@ def recolor(p: PatternPatch, seq: FoldingSequence, to: FoldingSequence) -> Patte
                 f"{seq} and {to} differ in infinitely many folds")
     colors = {}
     for seg, col in p.colors.items():
-        k, _ = _layer_data(*seg)
+        k = layer_of(seg)
         if not to.defined_through(k):
             continue
         if not seq.defined_through(k):

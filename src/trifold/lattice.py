@@ -13,13 +13,20 @@ value has 2-adic valuation k-1 belongs to layer k; each layer splits
 into triangles of side 2^(k-1) and hexagons, and every unit segment of
 a layer-k line is the side of exactly one layer-k triangle.
 
+``layer_kernel`` is the one implementation of the layer rule: given a
+line and the doubled midpoints of segments along it, it returns the
+layer and, per segment, the orientation of its layer triangle.
+``layer_data`` is its one-segment form, and
+``TriRegion.iter_interior_lines`` gives the closed-form line extents a
+whole window is colored from.
+
 All geometry below is integer arithmetic on these values; floats appear
 only in the rendering helpers.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLayer
 
@@ -111,6 +118,13 @@ def unit_tile_segments(o: int, p: int, q: int) -> tuple[Seg, Seg, Seg]:
     return (Seg(1, p, q), Seg(2, p, q), Seg(3, p + 1, q - 1))
 
 
+def incident_segments(vertex: Vertex) -> tuple[Seg, ...]:
+    """The six unit segments at a vertex, counterclockwise from east."""
+    p, q = vertex
+    return (Seg(1, p, q), Seg(3, p, q), Seg(2, p - 1, q + 1),
+            Seg(1, p - 1, q), Seg(3, p, q - 1), Seg(2, p, q))
+
+
 def seg_between(u: Vertex, v: Vertex) -> Seg:
     """The canonical segment joining two adjacent vertices."""
     dp, dq = v.p - u.p, v.q - u.q
@@ -170,23 +184,9 @@ class Triangle(NamedTuple):
             return cls(1 - 3 * q, 3 * (p + q) + 1, 1 - 3 * p)
         return cls(1 - 3 * q, 3 * (p + q) - 2, -2 - 3 * p)
 
-    def side_segment(self, d: int) -> Seg:
-        """The single unit segment forming side d of a unit triangle."""
-        o, p, q = self.anchor()
-        if o == POSITIVE:
-            if d == 1:
-                return Seg(1, p, q)
-            if d == 2:
-                return Seg(2, p, q + 1)
-            return Seg(3, p, q)
-        if d == 1:
-            return Seg(1, p, q)
-        if d == 2:
-            return Seg(2, p, q)
-        return Seg(3, p + 1, q - 1)
-
     def side_segments(self) -> tuple[Seg, Seg, Seg]:
-        return (self.side_segment(1), self.side_segment(2), self.side_segment(3))
+        """The unit segments forming the sides of a unit triangle, by direction."""
+        return unit_tile_segments(*self.anchor())
 
     def vertices(self) -> tuple[Vertex, Vertex, Vertex]:
         o, p, q = self.anchor()
@@ -227,80 +227,56 @@ def adjacent_unit_triangles(seg: Seg) -> tuple[Triangle, Triangle]:
     return pos, neg
 
 
-def _layer_data(d: int, p: int, q: int) -> tuple[int, bool]:
-    """(layer k, layer-triangle-is-positive) for segment (d, p, q).
+def layer_kernel(d: int, v: int, mids: Iterable[int]) -> tuple[int, list[bool]]:
+    """The closed-form layer rule along the grid line {f_d = v}.
 
-    The segment lies on a line of value v in layer k (s = 2^(k-1)).
-    In each of the two other directions, layer-k values are spaced
-    3*2^k apart with residue (-2)^(k-1); flooring the midpoint
-    functionals onto that progression gives the candidate triangle's
-    lower side values, and the sum v + l2' + l3' is -3s for the
-    attached negative layer triangle and -9s for the positive one.
-    No other sums are possible, so MalformedLayer flags only bugs.
+    ``mids`` are doubled midpoint values, all in one of the two other
+    directions, of segments on the line.  Returns the layer k and, per
+    segment, whether its layer-k triangle is positive.
+
+    Layer-k values are spaced 6s apart (s = 2^(k-1)) with residue
+    r = (-2)^(k-1); a line value off that progression is not a layer-k
+    grid line and raises MalformedLayer.  Flooring the two other
+    midpoint functionals onto the progression gives the lower side
+    values of the candidate layer triangle, summing with v to -3s (the
+    attached negative triangle) or -9s (the positive one).  As the two
+    midpoints add up to -2v, the sum is -9s exactly when
+    (m - 2r) mod 12s > 6s, for either of them.
     """
-    f1 = 2 - 6 * q
-    f2 = 6 * (p + q) - 4
-    f3 = 2 - 6 * p
-    if d == 1:
-        v = (f1) // 2
-        others = (f2 + 3, f3 - 3)
-    elif d == 2:
-        v = f2 // 2
-        others = (f1 + 3, f3 - 3)
-    else:
-        v = f3 // 2
-        others = (f1 - 3, f2 + 3)
     k = (v & -v).bit_length()
     s = 1 << (k - 1)
-    step = 6 * s
-    r = s if k & 1 else -s
-    tot = v
-    for fj in others:
-        tot += r + step * ((fj - 2 * r) // (2 * step))
-    if tot == -3 * s:
-        return k, False
-    if tot == -9 * s:
-        return k, True
-    raise MalformedLayer(f"segment ({d},{p},{q}): sum {tot} for layer {k}")
+    r2 = 2 * s if k & 1 else -2 * s
+    if (2 * v - r2) % (12 * s):
+        raise MalformedLayer(f"line f{d} = {v} is not a layer-{k} grid line")
+    period, half = 12 * s, 6 * s
+    return k, [(m - r2) % period > half for m in mids]
+
+
+def layer_data(seg: Seg) -> tuple[int, bool]:
+    """(layer k, layer-triangle-is-positive): layer_kernel on one segment."""
+    d, p, q = seg
+    v = 1 - 3 * q if d == 1 else 3 * (p + q) - 2 if d == 2 else 1 - 3 * p
+    k, (positive,) = layer_kernel(d, v, (-1 - 6 * (q if d == 3 else p),))
+    return k, positive
 
 
 def layer_triangle_orientation(seg: Seg) -> int:
     """Orientation of the layer-k triangle having seg on its boundary."""
-    _, positive = _layer_data(*seg)
-    return POSITIVE if positive else NEGATIVE
+    return POSITIVE if layer_data(seg)[1] else NEGATIVE
 
 
 def layer_triangle_of(seg: Seg) -> Triangle:
-    """The layer triangle attached to the segment, with its side values."""
-    d, p, q = seg
-    f1 = 2 - 6 * q
-    f2 = 6 * (p + q) - 4
-    f3 = 2 - 6 * p
-    if d == 1:
-        mids = (f1, f2 + 3, f3 - 3)
-    elif d == 2:
-        mids = (f1 + 3, f2, f3 - 3)
-    else:
-        mids = (f1 - 3, f2 + 3, f3)
-    v = mids[d - 1] // 2
-    k = (v & -v).bit_length()
+    """The layer triangle attached to the segment, with its side values:
+    in each other direction, the layer-k value just below the midpoint
+    (negative triangle) or just above it (positive)."""
+    k, positive = layer_data(seg)
     s = 1 << (k - 1)
-    step = 6 * s
     r = s if k & 1 else -s
-    vals = [0, 0, 0]
-    vals[d - 1] = v
-    for j in range(3):
-        if j != d - 1:
-            vals[j] = r + step * ((mids[j] - 2 * r) // (2 * step))
-    tot = sum(vals)
-    if tot == -3 * s:
-        return Triangle(*vals)
-    if tot == -9 * s:
-        for j in range(3):
-            if j != d - 1:
-                vals[j] += step
-        return Triangle(*vals)
-    raise MalformedLayer(f"segment {seg}: sum {tot} for layer {k}")
+    step = 6 * s
+    mids = seg.doubled_midpoint()
+    vals = [r + step * ((m - 2 * r) // (2 * step) + positive) for m in mids]
+    vals[seg.d - 1] = mids[seg.d - 1] // 2
+    return Triangle(*vals)
 
 
 # -- reflections and dilations -------------------------------------------
@@ -440,6 +416,34 @@ class TriRegion(NamedTuple):
                 if self.contains_interior(seg):
                     yield seg
 
+    def iter_interior_lines(self) -> Iterator[tuple[int, int, list[Seg], range]]:
+        """(d, v, segments, mids) for each grid line through the interior.
+
+        The i-th line in from side d holds side - i segments, bounded by
+        the two other side lines; ``mids`` are their doubled midpoint
+        values -1 - 6t in direction j (t = p, or q when d = 3), as
+        layer_kernel takes them.
+        """
+        sign = self.orientation
+        for d, j, l in ((1, 3, 2), (2, 3, 1), (3, 1, 2)):
+            wd, wj, wl = self[d - 1], self[j - 1], self[l - 1]
+            for i in range(1, self.side):
+                v = wd - 3 * sign * i
+                if sign == POSITIVE:
+                    lo, hi = (1 - wj) // 3, (v + wl - 2) // 3
+                else:
+                    lo, hi = (v + wl + 1) // 3, (-2 - wj) // 3
+                if d == 1:
+                    q = (1 - v) // 3
+                    segs = [Seg(1, t, q) for t in range(lo, hi + 1)]
+                elif d == 2:
+                    c = (v + 2) // 3
+                    segs = [Seg(2, t, c - t) for t in range(lo, hi + 1)]
+                else:
+                    p = (1 - v) // 3
+                    segs = [Seg(3, p, t) for t in range(lo, hi + 1)]
+                yield d, v, segs, range(-1 - 6 * lo, -7 - 6 * hi, -6)
+
     def iter_boundary_segments(self) -> Iterator[Seg]:
         pmin, pmax, qmin, qmax = self._vertex_ranges()
         for d in (1, 2, 3):
@@ -456,14 +460,6 @@ class TriRegion(NamedTuple):
             for seg in cands:
                 if self.is_boundary(seg):
                     yield seg
-
-    def covers_tile(self, tri: Triangle) -> bool:
-        sign = self.orientation
-        if tri.orientation == sign:
-            return all(sign * v <= sign * w for v, w in zip(tri, self))
-        # opposite-orientation tile: its extreme vertex on each side
-        # sticks out by one value step beyond the tile's own side value
-        return all(sign * v + 3 <= sign * w for v, w in zip(tri, self))
 
     def iter_tile_anchors(self) -> Iterator[tuple[int, int, int]]:
         """(orientation, p, q) of every unit triangle in the window."""

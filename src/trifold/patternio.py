@@ -230,7 +230,7 @@ def render_tiling_svg(window, style: SvgStyle = SvgStyle()) -> str:
         body.append(f'<polygon points="{path}" fill="{fill}" '
                     f'stroke="#444444" stroke-width="{_fmt(style.stroke_width / 4)}"/>')
         if tile.decoration is not None:
-            side = tile.triangle.side_segment(tile.decoration)
+            side = tile.triangle.side_segments()[tile.decoration - 1]
             a, b = side.endpoints()
             cx = sum(x for x, _ in pts) / 3
             cy = sum(y for _, y in pts) / 3

@@ -160,7 +160,8 @@ KERNEL_LOWER = (0, 0, 0, 0, 1, -3, 3, -1)
 @lru_cache(maxsize=1)
 def c_inverse() -> Mat:
     inv = C_MATRIX.inverse()
-    assert C_MATRIX * inv == Mat.identity()
+    if C_MATRIX * inv != Mat.identity():
+        raise NotTriangular("C * C^-1 is not the identity")
     return inv
 
 
@@ -238,7 +239,8 @@ def eigen_report(word: str) -> EigenReport:
     k = len(word)
     _, diag = triangularize(m)
     eigenvalues = expected_diagonal(k)
-    assert tuple(diag) == eigenvalues
+    if tuple(diag) != eigenvalues:
+        raise NotTriangular(f"diagonal {tuple(diag)} differs from {eigenvalues}")
 
     pf_ok = m.vec(ONES) == _scaled_vec(x * 4 ** k for x in ONES)
 

@@ -147,8 +147,7 @@ def apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
     out: dict[Seg, Color] = {}
     for tri, cols in tiles:
         for child, child_cols in _placed_children(rule, tri, cols, anchor):
-            for d, col in zip((1, 2, 3), child_cols):
-                seg = child.side_segment(d)
+            for seg, col in zip(child.side_segments(), child_cols):
                 prev = out.get(seg)
                 if prev is None:
                     out[seg] = col
@@ -169,7 +168,7 @@ def seed_patch(seed: TriangleColoring) -> PatternPatch:
         tri = Triangle(1, 1, 1)
     else:
         tri = Triangle(1, -2, -2)
-    colors = {tri.side_segment(d): seed.colors[d - 1] for d in (1, 2, 3)}
+    colors = dict(zip(tri.side_segments(), seed.colors))
     segs = frozenset(colors)
     return PatternPatch(TriRegion(*tri), colors, segs)
 

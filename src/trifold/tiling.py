@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import Inconsistent, Undecidable
 from .folding import Color, PatternPatch
-from .lattice import NEGATIVE, POSITIVE, Line, Seg, Triangle, Vertex, line_of
+from .lattice import NEGATIVE, POSITIVE, Line, Seg, Triangle, Vertex, incident_segments, line_of
 
 RED = Color.RED
 BLUE = Color.BLUE
@@ -62,8 +62,7 @@ def _tiles_around(vertex: Vertex):
     starting from the direction-1 segment to the right of the vertex.
     """
     p, q = vertex
-    spokes = (Seg(1, p, q), Seg(3, p, q), Seg(2, p - 1, q + 1),
-              Seg(1, p - 1, q), Seg(3, p, q - 1), Seg(2, p, q))
+    spokes = incident_segments(vertex)
     anchors = ((POSITIVE, p, q), (NEGATIVE, p - 1, q + 1), (POSITIVE, p - 1, q),
                (NEGATIVE, p - 1, q), (POSITIVE, p, q - 1), (NEGATIVE, p, q))
     tiles = [Triangle.unit_from_anchor(*a) for a in anchors]

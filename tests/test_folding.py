@@ -13,7 +13,7 @@ from trifold.folding import (
     patch,
     recolor,
 )
-from trifold.lattice import Seg, Vertex, layer_of
+from trifold.lattice import Seg, Vertex, layer_of, standard_region
 
 RNG = random.Random(11)
 ALL_UP = FoldingSequence.parse("(+)*")
@@ -150,6 +150,22 @@ def test_recolor_incompatible_periodic_words():
     # equal tails written differently are fine
     out = recolor(p, ALL_UP, FoldingSequence.parse("(++)*"))
     assert not interior_mismatches(out, p)
+
+
+@pytest.mark.parametrize("seq", [
+    FoldingSequence("+--+-++-"),
+    FoldingSequence.parse("(+--)*"),
+    FoldingSequence(fn=lambda k: "+" if bin(k).count("1") % 2 else "-"),
+], ids=["finite", "periodic", "callback"])
+def test_patch_matches_per_segment_colors(seq):
+    # the line-by-line extents and kernel against the one-segment form
+    for k in range(8):
+        p = patch(seq, k)
+        region = standard_region(k)
+        want = {s: color_of_segment(seq, s) for s in region.iter_interior_segments()}
+        assert p.boundary == frozenset(region.iter_boundary_segments())
+        want.update((s, color_of_segment(seq, s)) for s in p.boundary)
+        assert p.colors == want
 
 
 def test_line_alternation_blocks():

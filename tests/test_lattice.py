@@ -15,6 +15,7 @@ from trifold.lattice import (
     Vertex,
     adjacent_unit_triangles,
     dilate,
+    layer_kernel,
     layer_of,
     layer_triangle_of,
     layer_triangle_orientation,
@@ -206,6 +207,26 @@ def test_ball_region_segments_have_endpoints_inside():
     for seg in ball.iter_interior_segments():
         for v in seg.endpoints():
             assert v.norm_sq_times_12() <= 12 * 100
+
+
+def test_interior_lines_cover_interior_segments():
+    for region in (standard_region(5), standard_region(6),
+                   TriRegion(7, -14, 22), TriRegion(-5, 4, -20)):
+        lines = list(region.iter_interior_lines())
+        segs = [s for _, _, line_segs, _ in lines for s in line_segs]
+        assert sorted(segs) == sorted(region.iter_interior_segments())
+        for d, v, line_segs, mids in lines:
+            assert {line_of(s) for s in line_segs} == {Line(d, v)}
+            assert len(mids) == len(line_segs)
+
+
+def test_layer_kernel_rejects_off_grid_lines():
+    # line f1 = 4 carries Seg(1, p, -1) at doubled midpoint f3 = -1 - 6p
+    want = [layer_triangle_orientation(Seg(1, p, -1)) == POSITIVE for p in range(-4, 4)]
+    assert layer_kernel(1, 4, [-1 - 6 * p for p in range(-4, 4)]) == (3, want)
+    for v in (2, 3, 5, -1, 6):
+        with pytest.raises(MalformedLayer):
+            layer_kernel(1, v, [-1])
 
 
 def test_malformed_layer_is_internal_only():

@@ -149,6 +149,18 @@ def test_eigen_report_plus_minus_not_diagonalizable():
     assert rep.pf_ok and rep.unit_ok and rep.kernel_ok
 
 
+def test_eigen_report_rejects_wrong_diagonal(monkeypatch):
+    import trifold.spectral as spectral
+
+    def skewed(m):
+        t, diag = triangularize(m)
+        return t, (diag[0] + 1,) + diag[1:]
+
+    monkeypatch.setattr(spectral, "triangularize", skewed)
+    with pytest.raises(NotTriangular):
+        eigen_report("++")
+
+
 def test_eigen_report_odd_word_diagonalizable():
     for word in ("+", "-", "+-+"):
         assert eigen_report(word).diagonalizable
