@@ -15,9 +15,9 @@ from .errors import WindowTooSmall
 from .folding import Color, PatternPatch
 from .lattice import Seg, incident_segments, layer_of, line_of, v2
 from .substitution import class_index
+from .tiling import decorate
 
 RED = Color.RED
-BLUE = Color.BLUE
 
 
 def star_class(star: str) -> str:
@@ -65,13 +65,7 @@ def decorated_type_counts(patch: PatternPatch) -> dict[tuple[int, int, Optional[
     decorated."""
     out: dict[tuple[int, int, Optional[int]], int] = {}
     for tri, cols in patch.full_tiles():
-        reds = cols.count(RED)
-        slot: Optional[int] = None
-        if reds == 1:
-            slot = 1 + cols.index(RED)
-        elif reds == 2:
-            slot = 1 + cols.index(BLUE)
-        key = (tri.orientation, reds, slot)
+        key = (tri.orientation, *decorate(cols))
         out[key] = out.get(key, 0) + 1
     return out
 
@@ -123,7 +117,7 @@ def filter_layer(patch: PatternPatch, k: int) -> PatternPatch:
     """Restrict the window coloring to layer-k segments."""
     colors = {s: c for s, c in patch.colors.items()
               if layer_of(s) == k}
-    return PatternPatch(patch.region, colors, patch.boundary)
+    return PatternPatch(patch.region, colors)
 
 
 def layer_block_check(patch: PatternPatch, k: int) -> bool:

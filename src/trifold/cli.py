@@ -19,19 +19,49 @@ from .errors import Inconsistent, TrifoldError, Undecidable
 from .folding import FoldingSequence, PatternPatch
 
 
+def _folding_text(text: str) -> str:
+    """argparse type for --seq: a folding word or a mixed word."""
+    try:
+        if "," in text:
+            unfold.parse_mixed_word(text)
+        else:
+            FoldingSequence.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _word(text: str) -> str:
+    """argparse type for --word and verify's --seq: a nonempty word over {+, -}."""
+    if not text or any(c not in "+-" for c in text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a word over + and -")
+    return text
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for --size and --ball: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
 def _colored_patch(seq_text: str, size: int | None,
                    ball: int | None) -> tuple[PatternPatch, str]:
     if "," in seq_text:
         folds = unfold.parse_mixed_word(seq_text)
         if ball is not None:
-            raise SystemExit("mixed foldings render on triangle windows only")
+            raise TrifoldError("mixed foldings render on triangle windows only")
         return unfold.unfold_pattern(folds), seq_text
     seq = FoldingSequence.parse(seq_text)
     if ball is not None:
         return folding.ball_patch(seq, ball), str(seq)
     if size is None:
         if not seq.finite:
-            raise SystemExit("periodic sequences need --size or --ball")
+            raise TrifoldError("periodic sequences need --size or --ball")
         size = len(seq.word)
     return folding.patch(seq, size), str(seq)
 
@@ -184,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_window(p, need_seq=True):
         if need_seq:
-            p.add_argument("--seq", required=True,
+            p.add_argument("--seq", type=_folding_text, required=True,
                            help='folding sequence: "+-+", "(+-)*", or mixed "++-,+++"')
-        p.add_argument("--size", type=int, default=None,
+        p.add_argument("--size", type=_nonnegative_int, default=None,
                        help="triangle window exponent k (side 2^k)")
-        p.add_argument("--ball", type=int, default=None,
+        p.add_argument("--ball", type=_nonnegative_int, default=None,
                        help="ball window radius (instead of --size)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility and ignored")
@@ -206,22 +236,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("matrix", help="print the exact substitution matrix")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.add_argument("--power", type=int, default=1)
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("spectrum", help="print the exact eigen report")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("density", help="print exact density vectors")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1, help="tile class 1..8")
+    p.add_argument("--seed", type=int, choices=range(1, 9), default=1,
+                   help="tile class 1..8")
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("verify", help="cross-check the three generators")
-    p.add_argument("--seq", default=None, help="finite folding word")
+    p.add_argument("--seq", type=_word, default=None, help="finite folding word")
     p.add_argument("--methods", default="closed,unfold,subst")
     p.add_argument("--random", type=int, default=0,
                    help="also check N random words")
@@ -256,6 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # "--opt=--" skips the type check: argparse drops the "--" and
+    # hands over an empty list
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument {name}: expected a value, not '--'")
     try:
         return args.fn(args)
     except SystemExit:

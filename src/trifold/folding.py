@@ -13,7 +13,8 @@ window of any shape can be produced directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Optional
 
@@ -98,18 +99,22 @@ class FoldingSequence:
         return not self.finite or k <= len(self.word)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatternPatch:
-    """A window of segment colors with flagged boundary segments.
+    """A window of segment colors.
 
-    Boundary segments may carry a color (when derivable) but are
-    excluded from all comparisons; ``colors`` holds every known
-    segment, boundary included.
+    The boundary segments are the region's side lines (none for a
+    ball).  They may carry a color (when derivable) but are excluded
+    from all comparisons; ``colors`` holds every known segment,
+    boundary included.
     """
 
     region: Region
     colors: dict[Seg, Color]
-    boundary: frozenset[Seg] = field(default_factory=frozenset)
+
+    @cached_property
+    def boundary(self) -> frozenset[Seg]:
+        return frozenset(self.region.iter_boundary_segments())
 
     def interior_items(self) -> Iterable[tuple[Seg, Color]]:
         bnd = self.boundary
@@ -126,8 +131,7 @@ class PatternPatch:
             raise ValueError("only triangular patches translate")
         region = TriRegion(*Triangle(*self.region).translate(a, b))
         colors = {s.translate(a, b): c for s, c in self.colors.items()}
-        boundary = frozenset(s.translate(a, b) for s in self.boundary)
-        return PatternPatch(region, colors, boundary)
+        return PatternPatch(region, colors)
 
     def full_tiles(self):
         """(triangle, side colors) for tiles with all three sides known."""
@@ -180,12 +184,11 @@ def patch(seq: FoldingSequence, k: int) -> PatternPatch:
         layer, positive = layer_kernel(d, v, mids)
         colors.update(zip(segs, map(palette[layer].__getitem__, positive)))
 
-    boundary = frozenset(region.iter_boundary_segments())
     if k + 1 in palette:
-        for seg in boundary:
+        for seg in region.iter_boundary_segments():
             layer, positive = layer_data(seg)
             colors[seg] = palette[layer][positive]
-    return PatternPatch(region, colors, boundary)
+    return PatternPatch(region, colors)
 
 
 def ball_patch(seq: FoldingSequence, radius: int) -> PatternPatch:
@@ -230,7 +233,7 @@ def recolor(p: PatternPatch, seq: FoldingSequence, to: FoldingSequence) -> Patte
         if not seq.defined_through(k):
             raise OutOfRegion(f"layer {k} exceeds source sequence {seq}")
         colors[seg] = col if seq.a(k) == to.a(k) else col.swapped
-    return PatternPatch(p.region, colors, p.boundary)
+    return PatternPatch(p.region, colors)
 
 
 def interior_mismatches(a: PatternPatch, b: PatternPatch) -> list[Seg]:

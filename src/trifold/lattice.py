@@ -16,9 +16,11 @@ a layer-k line is the side of exactly one layer-k triangle.
 ``layer_kernel`` is the one implementation of the layer rule: given a
 line and the doubled midpoints of segments along it, it returns the
 layer and, per segment, the orientation of its layer triangle.
-``layer_data`` is its one-segment form, and
-``TriRegion.iter_interior_lines`` gives the closed-form line extents a
-whole window is colored from.
+``layer_data`` is its one-segment form.  ``TriRegion._lines`` is the one
+closed-form line-extent generator: the i-th line in from each side of
+a triangular window, with i = 0 the side line itself.  A window's
+interior lines (i >= 1), interior segments and boundary segments
+(i = 0) all come from it.
 
 All geometry below is integer arithmetic on these values; floats appear
 only in the rendering helpers.
@@ -386,48 +388,18 @@ class TriRegion(NamedTuple):
             return all(fv <= w for fv, w in zip(f, self))
         return all(fv >= w for fv, w in zip(f, self))
 
-    def _vertex_ranges(self) -> tuple[int, int, int, int]:
-        # closed-region bounds: p in [pmin,pmax], q in [qmin,qmax]
-        if self.orientation == POSITIVE:
-            pmin = (1 - self.w3) // 3
-            qmin = (1 - self.w1) // 3
-            top = (self.w2 + 2) // 3
-            return pmin, top - qmin, qmin, top - pmin
-        pmax = (1 - self.w3) // 3
-        qmax = (1 - self.w1) // 3
-        bot = (self.w2 + 2) // 3
-        return bot - qmax, pmax, bot - pmax, qmax
+    def _lines(self, rows: range) -> Iterator[tuple[int, int, list[Seg], range]]:
+        """(d, v, segments, mids) for the i-th line in from each side, i in rows.
 
-    def iter_vertices(self) -> Iterator[Vertex]:
-        pmin, pmax, qmin, qmax = self._vertex_ranges()
-        pos = self.orientation == POSITIVE
-        for q in range(qmin, qmax + 1):
-            for p in range(pmin, pmax + 1):
-                if pos:
-                    if p + q <= (self.w2 + 2) // 3:
-                        yield Vertex(p, q)
-                elif p + q >= (self.w2 + 2) // 3:
-                    yield Vertex(p, q)
-
-    def iter_interior_segments(self) -> Iterator[Seg]:
-        for p, q in self.iter_vertices():
-            for d in (1, 2, 3):
-                seg = Seg(d, p, q)
-                if self.contains_interior(seg):
-                    yield seg
-
-    def iter_interior_lines(self) -> Iterator[tuple[int, int, list[Seg], range]]:
-        """(d, v, segments, mids) for each grid line through the interior.
-
-        The i-th line in from side d holds side - i segments, bounded by
-        the two other side lines; ``mids`` are their doubled midpoint
-        values -1 - 6t in direction j (t = p, or q when d = 3), as
-        layer_kernel takes them.
+        Line i = 0 is the side line itself.  The i-th line holds
+        side - i segments, bounded by the two other side lines; ``mids``
+        are their doubled midpoint values -1 - 6t in direction j (t = p,
+        or q when d = 3), as layer_kernel takes them.
         """
         sign = self.orientation
         for d, j, l in ((1, 3, 2), (2, 3, 1), (3, 1, 2)):
             wd, wj, wl = self[d - 1], self[j - 1], self[l - 1]
-            for i in range(1, self.side):
+            for i in rows:
                 v = wd - 3 * sign * i
                 if sign == POSITIVE:
                     lo, hi = (1 - wj) // 3, (v + wl - 2) // 3
@@ -444,22 +416,17 @@ class TriRegion(NamedTuple):
                     segs = [Seg(3, p, t) for t in range(lo, hi + 1)]
                 yield d, v, segs, range(-1 - 6 * lo, -7 - 6 * hi, -6)
 
+    def iter_interior_lines(self) -> Iterator[tuple[int, int, list[Seg], range]]:
+        """(d, v, segments, mids) for each grid line through the interior."""
+        return self._lines(range(1, self.side))
+
+    def iter_interior_segments(self) -> Iterator[Seg]:
+        for _, _, segs, _ in self.iter_interior_lines():
+            yield from segs
+
     def iter_boundary_segments(self) -> Iterator[Seg]:
-        pmin, pmax, qmin, qmax = self._vertex_ranges()
-        for d in (1, 2, 3):
-            w = self[d - 1]
-            if d == 1:
-                q = (1 - w) // 3
-                cands = (Seg(1, p, q) for p in range(pmin - 1, pmax + 1))
-            elif d == 2:
-                c = (w + 2) // 3
-                cands = (Seg(2, p, c - p) for p in range(pmin - 1, pmax + 1))
-            else:
-                p = (1 - w) // 3
-                cands = (Seg(3, p, q) for q in range(qmin - 1, qmax + 1))
-            for seg in cands:
-                if self.is_boundary(seg):
-                    yield seg
+        for _, _, segs, _ in self._lines(range(1)):
+            yield from segs
 
     def iter_tile_anchors(self) -> Iterator[tuple[int, int, int]]:
         """(orientation, p, q) of every unit triangle in the window."""
@@ -482,11 +449,6 @@ class TriRegion(NamedTuple):
                     yield (NEGATIVE, p, q)
                     if q < qn:
                         yield (POSITIVE, p, q)
-
-    def iter_tiles(self) -> Iterator[Triangle]:
-        """All unit triangles contained in the closed window."""
-        for o, p, q in self.iter_tile_anchors():
-            yield Triangle.unit_from_anchor(o, p, q)
 
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.side * self.side >= 12 * r * r
@@ -546,10 +508,6 @@ class BallRegion(NamedTuple):
                 tri = Triangle.unit_from_anchor(o, p, q)
                 if all(self.contains_vertex(v) for v in tri.vertices()):
                     yield (o, p, q)
-
-    def iter_tiles(self) -> Iterator[Triangle]:
-        for o, p, q in self.iter_tile_anchors():
-            yield Triangle.unit_from_anchor(o, p, q)
 
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.radius >= r

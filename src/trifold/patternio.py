@@ -1,15 +1,16 @@
 """Deterministic text serialization and SVG rendering.
 
 Pattern files carry one ``d p q color`` record per segment, sorted by
-(d, p, q), with boundary records flagged ``*``; tiling files carry
-``orient p q red_count [slot]`` records.  Serialization is canonical,
-so read/write round trips are byte identical.  Floats appear only in
-the SVG emitter, at a fixed four decimal places.
+(d, p, q), with the records of the region's boundary flagged ``*``;
+the reader rejects flags that differ from the boundary its region
+header gives.  Tiling files carry ``orient p q red_count [slot]``
+records.  Serialization is canonical, so read/write round trips are
+byte identical.  Floats appear only in the SVG emitter, at a fixed four
+decimal places.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError
@@ -29,11 +30,14 @@ from .tiling import DecoratedTile
 PATTERN_MAGIC = "trifold-pattern v1"
 TILING_MAGIC = "trifold-tiling v1"
 
-#: ColorBrewer defaults: Set1 red/blue for segments, Set2 for tile fill
-#: by red count.
+#: ColorBrewer Set1 red/blue for segments, Set2 for tile fill by red
+#: count; SVG user units per grid unit, stroke width and margin.
 RED_HEX = "#E41A1C"
 BLUE_HEX = "#377EB8"
 TILE_HEX = ("#66C2A5", "#FC8D62", "#8DA0CB", "#E78AC8")
+SCALE = 24.0
+STROKE_WIDTH = 2.0
+MARGIN = 8.0
 
 
 def _region_header(region: Region) -> str:
@@ -47,12 +51,14 @@ def _region_header(region: Region) -> str:
 
 def _parse_region(parts: list[str], line_no: int) -> Region:
     try:
-        if parts[:2] == ["region", "ball"] and len(parts) == 3:
+        if parts[:2] == ["region", "ball"] and len(parts) == 3 and int(parts[2]) >= 0:
             return BallRegion(int(parts[2]))
-        if parts[:2] == ["region", "triangle"] and len(parts) == 3:
+        if parts[:2] == ["region", "triangle"] and len(parts) == 3 and int(parts[2]) >= 0:
             return standard_region(int(parts[2]))
         if parts[:2] == ["region", "tri"] and len(parts) == 5:
-            return TriRegion(int(parts[2]), int(parts[3]), int(parts[4]))
+            region = TriRegion(int(parts[2]), int(parts[3]), int(parts[4]))
+            if region.side and all(w % 3 == 1 for w in region):
+                return region
     except ValueError:
         pass
     raise ParseError(f"bad region {' '.join(parts)!r}", line_no)
@@ -78,7 +84,7 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
     seq = lines[1][4:]
     region = _parse_region(lines[2].split(), 3)
     colors: dict[Seg, Color] = {}
-    boundary = set()
+    flagged: dict[Seg, int] = {}
     for no, raw in enumerate(lines[3:], start=4):
         if not raw.strip():
             continue
@@ -94,7 +100,7 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
         if len(parts) == 5:
             if parts[4] != "*":
                 raise ParseError(f"bad flag {parts[4]!r}", no)
-            boundary.add(seg)
+            flagged[seg] = no
         if parts[3] == "unknown":
             if len(parts) != 5:
                 raise ParseError("unknown color only allowed on boundary", no)
@@ -103,7 +109,15 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
             colors[seg] = Color(parts[3])
         except ValueError:
             raise ParseError(f"bad color {parts[3]!r}", no) from None
-    return PatternPatch(region, colors, frozenset(boundary)), seq
+    patch = PatternPatch(region, colors)
+    boundary = patch.boundary
+    if flagged.keys() != boundary:
+        for seg, no in flagged.items():
+            if seg not in boundary:
+                raise ParseError(f"{seg} is flagged but not on the boundary", no)
+        seg = min(boundary - flagged.keys())
+        raise ParseError(f"boundary segment {seg} has no flagged record", 3)
+    return patch, seq
 
 
 def write_tiling(window: Iterable[DecoratedTile], seq: str = "",
@@ -159,27 +173,15 @@ def read_tiling(text: str) -> tuple[dict[Triangle, DecoratedTile], str]:
 
 # -- SVG -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SvgStyle:
-    scale: float = 24.0
-    stroke_width: float = 2.0
-    margin: float = 8.0
-    red: str = RED_HEX
-    blue: str = BLUE_HEX
-    tile_palette: tuple[str, str, str, str] = TILE_HEX
-    show_boundary: bool = False
-
-
 def _fmt(x: float) -> str:
     out = f"{x:.4f}"
     return "0.0000" if out == "-0.0000" else out
 
 
-def _svg_document(body: list[str], xs: list[float], ys: list[float],
-                  style: SvgStyle) -> str:
+def _svg_document(body: list[str], xs: list[float], ys: list[float]) -> str:
     if xs:
-        x0, x1 = min(xs) - style.margin, max(xs) + style.margin
-        y0, y1 = min(ys) - style.margin, max(ys) + style.margin
+        x0, x1 = min(xs) - MARGIN, max(xs) + MARGIN
+        y0, y1 = min(ys) - MARGIN, max(ys) + MARGIN
     else:
         x0, y0, x1, y1 = -1.0, -1.0, 1.0, 1.0
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -187,29 +189,26 @@ def _svg_document(body: list[str], xs: list[float], ys: list[float],
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def render_svg(patch: PatternPatch, style: SvgStyle = SvgStyle()) -> str:
-    """Segments as colored strokes; deterministic element order."""
+def render_svg(patch: PatternPatch) -> str:
+    """Interior segments as colored strokes; deterministic element order."""
     body = []
     xs: list[float] = []
     ys: list[float] = []
-    items = sorted((s, c) for s, c in patch.colors.items()
-                   if style.show_boundary or s not in patch.boundary)
-    for seg, col in items:
+    for seg, col in sorted(patch.interior_items()):
         a, b = seg.endpoints()
         (ax, ay), (bx, by) = a.xy(), b.xy()
-        pts = [ax * style.scale, -ay * style.scale,
-               bx * style.scale, -by * style.scale]
+        pts = [ax * SCALE, -ay * SCALE, bx * SCALE, -by * SCALE]
         xs.extend(pts[0::2])
         ys.extend(pts[1::2])
-        hexcol = style.red if col is Color.RED else style.blue
+        hexcol = RED_HEX if col is Color.RED else BLUE_HEX
         body.append(f'<line x1="{_fmt(pts[0])}" y1="{_fmt(pts[1])}" '
                     f'x2="{_fmt(pts[2])}" y2="{_fmt(pts[3])}" '
-                    f'stroke="{hexcol}" stroke-width="{_fmt(style.stroke_width)}" '
+                    f'stroke="{hexcol}" stroke-width="{_fmt(STROKE_WIDTH)}" '
                     f'stroke-linecap="round"/>')
-    return _svg_document(body, xs, ys, style)
+    return _svg_document(body, xs, ys)
 
 
-def render_tiling_svg(window, style: SvgStyle = SvgStyle()) -> str:
+def render_tiling_svg(window) -> str:
     """Tiles as filled triangles keyed by red count; decorations are
     dots near the marked side."""
     tiles = window.values() if isinstance(window, dict) else list(window)
@@ -222,21 +221,21 @@ def render_tiling_svg(window, style: SvgStyle = SvgStyle()) -> str:
     ys: list[float] = []
     for _, tile in sorted(recs, key=lambda r: r[0]):
         verts = [v.xy() for v in tile.triangle.vertices()]
-        pts = [(x * style.scale, -y * style.scale) for x, y in verts]
+        pts = [(x * SCALE, -y * SCALE) for x, y in verts]
         xs.extend(x for x, _ in pts)
         ys.extend(y for _, y in pts)
         path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        fill = style.tile_palette[tile.red_count]
+        fill = TILE_HEX[tile.red_count]
         body.append(f'<polygon points="{path}" fill="{fill}" '
-                    f'stroke="#444444" stroke-width="{_fmt(style.stroke_width / 4)}"/>')
+                    f'stroke="#444444" stroke-width="{_fmt(STROKE_WIDTH / 4)}"/>')
         if tile.decoration is not None:
             side = tile.triangle.side_segments()[tile.decoration - 1]
             a, b = side.endpoints()
             cx = sum(x for x, _ in pts) / 3
             cy = sum(y for _, y in pts) / 3
-            mx = (a.xy()[0] + b.xy()[0]) / 2 * style.scale
-            my = -(a.xy()[1] + b.xy()[1]) / 2 * style.scale
+            mx = (a.xy()[0] + b.xy()[0]) / 2 * SCALE
+            my = -(a.xy()[1] + b.xy()[1]) / 2 * SCALE
             dx, dy = (cx + mx) / 2, (cy + my) / 2
             body.append(f'<circle cx="{_fmt(dx)}" cy="{_fmt(dy)}" '
-                        f'r="{_fmt(style.scale / 10)}" fill="#222222"/>')
-    return _svg_document(body, xs, ys, style)
+                        f'r="{_fmt(SCALE / 10)}" fill="#222222"/>')
+    return _svg_document(body, xs, ys)

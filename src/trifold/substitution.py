@@ -157,8 +157,7 @@ def apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
     new_region = TriRegion(2 * region.w1 - anchor[0],
                            2 * region.w2 - anchor[1],
                            2 * region.w3 - anchor[2])
-    return PatternPatch(new_region, out,
-                        frozenset(new_region.iter_boundary_segments()))
+    return PatternPatch(new_region, out)
 
 
 def seed_patch(seed: TriangleColoring) -> PatternPatch:
@@ -168,9 +167,7 @@ def seed_patch(seed: TriangleColoring) -> PatternPatch:
         tri = Triangle(1, 1, 1)
     else:
         tri = Triangle(1, -2, -2)
-    colors = dict(zip(tri.side_segments(), seed.colors))
-    segs = frozenset(colors)
-    return PatternPatch(TriRegion(*tri), colors, segs)
+    return PatternPatch(TriRegion(*tri), dict(zip(tri.side_segments(), seed.colors)))
 
 
 def recenter(patch: PatternPatch) -> PatternPatch:

@@ -30,23 +30,21 @@ class DecoratedTile(NamedTuple):
     decoration: Optional[int]  # direction slot of the minority side
 
 
-class UndecoratedTile(NamedTuple):
-    triangle: Triangle
-    red_count: int
+def decorate(cols: tuple[Color, Color, Color]) -> tuple[int, Optional[int]]:
+    """(red count, direction slot of the minority side) of a tile with
+    these side colors; monochrome tiles have no minority side."""
+    reds = cols.count(RED)
+    if reds == 1:
+        return 1, 1 + cols.index(RED)
+    if reds == 2:
+        return 2, 1 + cols.index(BLUE)
+    return reds, None
 
 
 def to_tiling(patch: PatternPatch) -> dict[Triangle, DecoratedTile]:
     """Convert every fully colored unit triangle of the window."""
-    out = {}
-    for tri, cols in patch.full_tiles():
-        reds = sum(c is RED for c in cols)
-        decoration = None
-        if reds == 1:
-            decoration = 1 + cols.index(RED)
-        elif reds == 2:
-            decoration = 1 + cols.index(BLUE)
-        out[tri] = DecoratedTile(tri, reds, decoration)
-    return out
+    return {tri: DecoratedTile(tri, *decorate(cols))
+            for tri, cols in patch.full_tiles()}
 
 
 def strip_decoration(window: Iterable[DecoratedTile] | dict) -> dict[Triangle, int]:
@@ -74,7 +72,7 @@ def _tiles_around(vertex: Vertex):
     return tiles, spokes, outer
 
 
-def reconstruct(window: dict[Triangle, int] | Iterable[UndecoratedTile],
+def reconstruct(window: dict[Triangle, int] | Iterable[DecoratedTile],
                 targets: Optional[Iterable[Seg]] = None) -> dict[Seg, Color]:
     """Rebuild segment colors from undecorated red counts.
 

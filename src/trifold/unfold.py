@@ -67,13 +67,12 @@ def unfold_once(patch: PatternPatch, fold: MixedFold) -> PatternPatch:
             image = reflect_segment(seg, mirror)
             if image != seg and big.contains_interior(image):
                 colors[image] = col.swapped
-    return PatternPatch(big, colors, frozenset(big.iter_boundary_segments()))
+    return PatternPatch(big, colors)
 
 
 def unfold_pattern(folds: list[MixedFold]) -> PatternPatch:
     """Unfold a_1 first, then a_2, ...; returns the side-2^k patch."""
-    patch = PatternPatch(standard_region(0), {},
-                         frozenset(standard_region(0).iter_boundary_segments()))
+    patch = PatternPatch(standard_region(0), {})
     for fold in folds:
         patch = unfold_once(patch, fold)
     return patch

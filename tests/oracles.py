@@ -3,12 +3,13 @@
 These deliberately avoid the library's layer/orientation arithmetic:
 layer triangles are found by enumerating all value triples with the
 right 2-adic valuation and side length, and their boundary segments by
-walking the triangle's corners.
+walking the triangle's corners.  Window segments are found by testing
+every segment in the window's bounding box.
 """
 
 from __future__ import annotations
 
-from trifold.lattice import Seg, Triangle, Vertex, seg_between
+from trifold.lattice import Seg, Triangle, TriRegion, Vertex, seg_between
 
 
 def v2_slow(n: int) -> int:
@@ -59,3 +60,23 @@ def brute_layer_triangles(k: int, value_bound: int) -> dict[Seg, Triangle]:
                         assert seg not in out, f"{seg} in two layer-{k} triangles"
                         out[seg] = tri
     return out
+
+
+def scan_region_segments(region: TriRegion) -> tuple[set[Seg], set[Seg]]:
+    """(interior, boundary) segments of a triangular window, found by
+    testing every segment anchored in the bounding box of its corners
+    with the window's midpoint predicates."""
+    w1, w2, w3 = region
+    corners = (_corner(w1, w3), _corner(w1, -w1 - w2), _corner(-w2 - w3, w3))
+    ps = [c.p for c in corners]
+    qs = [c.q for c in corners]
+    interior, boundary = set(), set()
+    for p in range(min(ps) - 1, max(ps) + 2):
+        for q in range(min(qs) - 1, max(qs) + 2):
+            for d in (1, 2, 3):
+                seg = Seg(d, p, q)
+                if region.contains_interior(seg):
+                    interior.add(seg)
+                elif region.is_boundary(seg):
+                    boundary.add(seg)
+    return interior, boundary

@@ -115,3 +115,26 @@ def test_byte_identical_outputs_and_threads(tmp_path, capsys):
     code1, out1, _ = run(capsys, "spectrum", "--word", "++--")
     code2, out2, _ = run(capsys, "spectrum", "--word", "++--")
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seq", "abc", "--out", "x.pat"],
+    ["matrix", "--word", "+x"],
+    ["density", "--word", "+", "--seed", "9"],
+    ["density", "--word=--"],
+    ["generate", "--seq", "(+)*", "--size", "-1", "--out", "x.pat"],
+    ["generate", "--seq", "(+)*", "--out", "x.pat"],
+    ["generate", "--seq", "++-,+++", "--ball", "4", "--out", "x.pat"],
+    ["verify", "--seq", "(+)*"],
+])
+def test_malformed_argv_exits_two(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    assert not (tmp_path / "x.pat").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,13 +8,14 @@ from trifold.errors import IncompatibleSequences, OutOfRegion
 from trifold.folding import (
     Color,
     FoldingSequence,
+    PatternPatch,
     ball_patch,
     color_of_segment,
     interior_mismatches,
     patch,
     recolor,
 )
-from trifold.lattice import Seg, Vertex, layer_of, standard_region
+from trifold.lattice import BallRegion, Seg, TriRegion, Vertex, layer_of, standard_region
 
 RNG = random.Random(11)
 ALL_UP = FoldingSequence.parse("(+)*")
@@ -166,6 +168,13 @@ def test_patch_matches_per_segment_colors(seq):
         assert p.boundary == frozenset(region.iter_boundary_segments())
         want.update((s, color_of_segment(seq, s)) for s in p.boundary)
         assert p.colors == want
+
+
+def test_patch_boundary_comes_from_region():
+    assert [f.name for f in dataclasses.fields(PatternPatch)] == ["region", "colors"]
+    for region in (standard_region(3), TriRegion(7, -14, 22)):
+        assert PatternPatch(region, {}).boundary == frozenset(region.iter_boundary_segments())
+    assert PatternPatch(BallRegion(4), {}).boundary == frozenset()
 
 
 def test_line_alternation_blocks():

@@ -56,6 +56,40 @@ def test_pattern_parse_errors_carry_line_numbers():
         read_pattern(good + "1 2\n")
 
 
+def test_pattern_flags_must_match_region_boundary():
+    lines = write_pattern(patch(FoldingSequence.parse("(+)*"), 2), "(+)*").splitlines()
+    flagged = next(i for i, ln in enumerate(lines) if ln.endswith(" *"))
+    interior = next(i for i, ln in enumerate(lines[3:], 3) if not ln.endswith(" *"))
+
+    unflagged = list(lines)
+    unflagged[flagged] = lines[flagged][:-2]
+    with pytest.raises(ParseError):
+        read_pattern("\n".join(unflagged) + "\n")
+
+    overflagged = list(lines)
+    overflagged[interior] = lines[interior] + " *"
+    with pytest.raises(ParseError) as info:
+        read_pattern("\n".join(overflagged) + "\n")
+    assert info.value.line == interior + 1
+
+    missing = lines[:flagged] + lines[flagged + 1:]
+    with pytest.raises(ParseError):
+        read_pattern("\n".join(missing) + "\n")
+
+    ball = write_pattern(ball_patch(FoldingSequence.parse("(+)*"), 3), "(+)*")
+    with pytest.raises(ParseError):
+        read_pattern(ball.replace(" red\n", " red *\n", 1))
+
+
+@pytest.mark.parametrize("header", [
+    "region triangle -1", "region ball -2", "region tri 1 1 2", "region tri 1 -2 1",
+])
+def test_pattern_rejects_malformed_region_header(header):
+    with pytest.raises(ParseError) as info:
+        read_pattern(f"trifold-pattern v1\nseq +\n{header}\n")
+    assert info.value.line == 3
+
+
 def test_tiling_roundtrip():
     p = ball_patch(FoldingSequence.parse("(+)*"), 6)
     window = to_tiling(p)

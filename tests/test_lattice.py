@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_layer_triangles, v2_slow
+from oracles import brute_layer_triangles, scan_region_segments, v2_slow
 from trifold.errors import MalformedLayer
 from trifold.lattice import (
     NEGATIVE,
@@ -190,7 +190,7 @@ def test_region_interior_boundary_segment_counts():
 def test_region_tile_enumeration_matches_side_square():
     for region in (standard_region(2), standard_region(3),
                    TriRegion(1, -5, -2), TriRegion(4, 16, -11)):
-        tiles = list(region.iter_tiles())
+        tiles = [Triangle.unit_from_anchor(*a) for a in region.iter_tile_anchors()]
         assert len(tiles) == region.side ** 2
         assert len(set(tiles)) == len(tiles)
         ups = sum(1 for t in tiles if t.orientation == POSITIVE)
@@ -218,6 +218,24 @@ def test_interior_lines_cover_interior_segments():
         for d, v, line_segs, mids in lines:
             assert {line_of(s) for s in line_segs} == {Line(d, v)}
             assert len(mids) == len(line_segs)
+
+
+@pytest.mark.parametrize("region", [
+    TriRegion(1, 1, 1), TriRegion(1, -2, -2), TriRegion(4, -2, 1), TriRegion(-2, -5, 4),
+    standard_region(4), standard_region(5), TriRegion(7, -14, 22), TriRegion(-5, 4, -20),
+], ids=["side1+", "side1-", "side1+off", "side1-off", "k4", "k5", "off+", "off-"])
+def test_region_enumeration_matches_bounding_box_scan(region):
+    interior, boundary = scan_region_segments(region)
+    segs = list(region.iter_interior_segments())
+    assert len(segs) == len(interior) and set(segs) == interior
+    bnd = list(region.iter_boundary_segments())
+    assert len(bnd) == 3 * region.side and set(bnd) == boundary
+    lines = list(region.iter_interior_lines())
+    assert [s for _, _, line_segs, _ in lines for s in line_segs] == segs
+    for d, v, line_segs, mids in lines:
+        assert {line_of(s) for s in line_segs} == {Line(d, v)}
+        j = 1 if d == 3 else 3
+        assert list(mids) == [s.doubled_midpoint()[j - 1] for s in line_segs]
 
 
 def test_layer_kernel_rejects_off_grid_lines():
