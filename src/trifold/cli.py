@@ -38,15 +38,21 @@ def _word(text: str) -> str:
     return text
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for --size and --ball: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type for an integer option that must be at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
+        return value
+    return parse
+
+
+_nonnegative_int = _int_at_least(0, "nonnegative")
+_positive_int = _int_at_least(1, "positive")
 
 
 def _colored_patch(seq_text: str, size: int | None,
@@ -104,9 +110,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.steps < 1:
-        print("error: --steps must be at least 1", file=sys.stderr)
-        return 2
     for n in range(1, args.steps + 1):
         vec = spectral.density_limit(args.word, n, args.seed)
         print(f"n={n} " + " ".join(str(x) for x in vec))
@@ -134,7 +137,7 @@ def cmd_verify(args) -> int:
         for _ in range(args.random):
             words.append("".join(rng.choice("+-") for _ in range(args.length)))
     if not words:
-        print("nothing to verify (give --seq or --random)", file=sys.stderr)
+        print("error: nothing to verify (give --seq or --random)", file=sys.stderr)
         return 2
     methods = args.methods.split(",")
     if len(methods) < 2 or any(m not in ("closed", "unfold", "subst") for m in methods):
@@ -220,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="triangle window exponent k (side 2^k)")
         p.add_argument("--ball", type=_nonnegative_int, default=None,
                        help="ball window radius (instead of --size)")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="accepted for compatibility and ignored")
 
     p = sub.add_parser("generate", help="write a pattern file")
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="print the exact substitution matrix")
     p.add_argument("--word", type=_word, required=True)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_nonnegative_int, default=1)
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("spectrum", help="print the exact eigen report")
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="print exact density vectors")
     p.add_argument("--word", type=_word, required=True)
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, choices=range(1, 9), default=1,
                    help="tile class 1..8")
     p.set_defaults(fn=cmd_density)
@@ -254,18 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check the three generators")
     p.add_argument("--seq", type=_word, default=None, help="finite folding word")
     p.add_argument("--methods", default="closed,unfold,subst")
-    p.add_argument("--random", type=int, default=0,
+    p.add_argument("--random", type=_nonnegative_int, default=0,
                    help="also check N random words")
-    p.add_argument("--length", type=int, default=5)
+    p.add_argument("--length", type=_positive_int, default=5)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="accepted for compatibility and ignored")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reconstruct", help="rebuild a pattern from a tiling file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--ref", default=None, help="pattern file to compare against")
-    p.add_argument("--margin", type=int, default=4)
+    p.add_argument("--margin", type=_nonnegative_int, default=4)
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("stars", help="vertex star histogram")
@@ -275,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="surviving translations")
     add_window(p)
-    p.add_argument("--max-norm", type=int, default=8)
-    p.add_argument("--layer", type=int, default=0,
-                   help="restrict the check to one layer")
+    p.add_argument("--max-norm", type=_positive_int, default=8)
+    p.add_argument("--layer", type=_nonnegative_int, default=0,
+                   help="restrict the check to one layer (0: all layers)")
     p.add_argument("--assert-none", action="store_true")
     p.set_defaults(fn=cmd_period)
 

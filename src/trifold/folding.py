@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Optional
 
@@ -167,6 +168,20 @@ def color_of_segment(seq: FoldingSequence, seg: Seg) -> Color:
     return _layer_colors(seq, k)[positive]
 
 
+def _paint(seq: FoldingSequence,
+           lines: Iterable[tuple[int, int, list[Seg], range]]) -> dict[Seg, Color]:
+    """Colors of the segments on (d, v, segments, mids) lines."""
+    palette: dict[int, tuple[Color, Color]] = {}
+    colors: dict[Seg, Color] = {}
+    for d, v, segs, mids in lines:
+        k, positive = layer_kernel(d, v, mids)
+        pair = palette.get(k)
+        if pair is None:
+            pair = palette[k] = _layer_colors(seq, k)
+        colors.update(zip(segs, map(pair.__getitem__, positive)))
+    return colors
+
+
 def patch(seq: FoldingSequence, k: int) -> PatternPatch:
     """Pattern inside the side-2^k triangle centered at O.
 
@@ -177,39 +192,23 @@ def patch(seq: FoldingSequence, k: int) -> PatternPatch:
     if not seq.defined_through(k):
         raise OutOfRegion(f"need {k} folds, sequence has {len(seq.word)}")
     region = standard_region(k)
-    palette = {layer: _layer_colors(seq, layer) for layer in range(1, k + 2)
-               if seq.defined_through(layer)}
-    colors: dict[Seg, Color] = {}
-    for d, v, segs, mids in region.iter_interior_lines():
-        layer, positive = layer_kernel(d, v, mids)
-        colors.update(zip(segs, map(palette[layer].__getitem__, positive)))
-
-    if k + 1 in palette:
-        for seg in region.iter_boundary_segments():
-            layer, positive = layer_data(seg)
-            colors[seg] = palette[layer][positive]
-    return PatternPatch(region, colors)
+    lines = region.iter_interior_lines()
+    if seq.defined_through(k + 1):
+        lines = chain(lines, region.iter_boundary_lines())
+    return PatternPatch(region, _paint(seq, lines))
 
 
 def ball_patch(seq: FoldingSequence, radius: int) -> PatternPatch:
     """Pattern on the radius-R ball at O (all segments colorable)."""
     region = BallRegion(radius)
-    if seq.finite:
+    lines = list(region.iter_interior_lines())
+    if seq.finite:  # the shell is convex: each line's end segments decide
         shell = standard_region(len(seq.word))
-        for seg in region.iter_interior_segments():
-            if not shell.contains_interior(seg):
-                raise OutOfRegion(
-                    f"radius-{radius} ball exceeds the side-2^{len(seq.word)} patch")
-            break
-    palette: dict[int, tuple[Color, Color]] = {}
-    colors = {}
-    for seg in region.iter_interior_segments():
-        k, positive = layer_data(seg)
-        pair = palette.get(k)
-        if pair is None:
-            pair = palette[k] = _layer_colors(seq, k)
-        colors[seg] = pair[positive]
-    return PatternPatch(region, colors)
+        if not all(shell.contains_interior(segs[0]) and shell.contains_interior(segs[-1])
+                   for _, _, segs, _ in lines):
+            raise OutOfRegion(
+                f"radius-{radius} ball exceeds the side-2^{len(seq.word)} patch")
+    return PatternPatch(region, _paint(seq, lines))
 
 
 def recolor(p: PatternPatch, seq: FoldingSequence, to: FoldingSequence) -> PatternPatch:

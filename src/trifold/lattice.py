@@ -16,11 +16,16 @@ a layer-k line is the side of exactly one layer-k triangle.
 ``layer_kernel`` is the one implementation of the layer rule: given a
 line and the doubled midpoints of segments along it, it returns the
 layer and, per segment, the orientation of its layer triangle.
-``layer_data`` is its one-segment form.  ``TriRegion._lines`` is the one
-closed-form line-extent generator: the i-th line in from each side of
-a triangular window, with i = 0 the side line itself.  A window's
-interior lines (i >= 1), interior segments and boundary segments
-(i = 0) all come from it.
+``layer_data`` is its one-segment form.
+
+Every window is its vertex extents along grid lines: ``line_extents``
+yields (d, v, first, last) per line {f_d = v} it meets, the vertices
+inside being t = first..last with f_j = 1 - 3t (t = p, or q if d = 3).
+On a triangle they are linear in the side values.  On a radius-r ball,
+12|x|^2 = (2/3)(f1^2 + f2^2 + f3^2) puts the vertex with f_j = g inside
+iff (2g + v)^2 + 3v^2 <= 36r^2: one isqrt per line, in any direction.
+``line_segments`` builds each line's segments and ``tile_anchors`` the
+unit tiles from these extents, for both window types.
 
 All geometry below is integer arithmetic on these values; floats appear
 only in the rendering helpers.
@@ -28,6 +33,8 @@ only in the rendering helpers.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import isqrt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLayer
@@ -342,6 +349,31 @@ def dilate(obj, factor: int):
 
 # -- windows ---------------------------------------------------------------
 
+def line_segments(d: int, v: int, first: int, last: int) -> tuple[int, int, list[Seg], range]:
+    """(d, v, segments, mids) for the segments joining vertices first..last
+    on {f_d = v}; ``mids`` are their doubled f_j, -1 - 6t, for layer_kernel."""
+    c, ts = (v + 2) // 3 if d == 2 else (1 - v) // 3, range(first, last)
+    segs = ([Seg(1, t, c) for t in ts] if d == 1 else
+            [Seg(2, t, c - t) for t in ts] if d == 2 else [Seg(3, c, t) for t in ts])
+    return d, v, segs, range(-1 - 6 * first, -1 - 6 * last, -6)
+
+
+def tile_anchors(extents: Iterable[tuple[int, int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    """(orientation, p, q) of the unit tiles on the extents' rows (d = 1).
+
+    A positive tile at (p, q) needs p and p+1 on row q and p on row
+    q+1; a negative one needs p and p+1 on row q and p+1 on row q-1.
+    """
+    rows = {(1 - v) // 3: (a, b) for d, v, a, b in extents if d == 1}
+    for q, (a, b) in rows.items():
+        a1, b1 = rows.get(q + 1, (0, -1))
+        for p in range(max(a, a1), min(b - 1, b1) + 1):
+            yield POSITIVE, p, q
+        a0, b0 = rows.get(q - 1, (0, -1))
+        for p in range(max(a, a0 - 1), min(b, b0)):
+            yield NEGATIVE, p, q
+
+
 class TriRegion(NamedTuple):
     """Triangular window with side lines (w1, w2, w3).
 
@@ -382,73 +414,38 @@ class TriRegion(NamedTuple):
                 return False
         return on_own
 
-    def contains_vertex(self, vert: Vertex) -> bool:
-        f = vert.functionals()
-        if self.orientation == POSITIVE:
-            return all(fv <= w for fv, w in zip(f, self))
-        return all(fv >= w for fv, w in zip(f, self))
-
-    def _lines(self, rows: range) -> Iterator[tuple[int, int, list[Seg], range]]:
-        """(d, v, segments, mids) for the i-th line in from each side, i in rows.
-
-        Line i = 0 is the side line itself.  The i-th line holds
-        side - i segments, bounded by the two other side lines; ``mids``
-        are their doubled midpoint values -1 - 6t in direction j (t = p,
-        or q when d = 3), as layer_kernel takes them.
-        """
+    def _extents(self, rows: range) -> Iterator[tuple[int, int, int, int]]:
+        """(d, v, first, last) for the i-th line in from each side, i in
+        rows: side - i + 1 vertices, i = 0 being the side line itself."""
         sign = self.orientation
         for d, j, l in ((1, 3, 2), (2, 3, 1), (3, 1, 2)):
             wd, wj, wl = self[d - 1], self[j - 1], self[l - 1]
             for i in rows:
                 v = wd - 3 * sign * i
-                if sign == POSITIVE:
-                    lo, hi = (1 - wj) // 3, (v + wl - 2) // 3
-                else:
-                    lo, hi = (v + wl + 1) // 3, (-2 - wj) // 3
-                if d == 1:
-                    q = (1 - v) // 3
-                    segs = [Seg(1, t, q) for t in range(lo, hi + 1)]
-                elif d == 2:
-                    c = (v + 2) // 3
-                    segs = [Seg(2, t, c - t) for t in range(lo, hi + 1)]
-                else:
-                    p = (1 - v) // 3
-                    segs = [Seg(3, p, t) for t in range(lo, hi + 1)]
-                yield d, v, segs, range(-1 - 6 * lo, -7 - 6 * hi, -6)
+                a, b = (1 - wj) // 3, (v + wl + 1) // 3
+                yield (d, v, a, b) if sign == POSITIVE else (d, v, b, a)
+
+    def line_extents(self) -> Iterator[tuple[int, int, int, int]]:
+        """(d, v, first, last) for every grid line meeting the closed window."""
+        return self._extents(range(self.side + 1))
 
     def iter_interior_lines(self) -> Iterator[tuple[int, int, list[Seg], range]]:
         """(d, v, segments, mids) for each grid line through the interior."""
-        return self._lines(range(1, self.side))
+        return (line_segments(*e) for e in self._extents(range(1, self.side)))
+
+    def iter_boundary_lines(self) -> Iterator[tuple[int, int, list[Seg], range]]:
+        """(d, v, segments, mids) for the three side lines."""
+        return (line_segments(*e) for e in self._extents(range(1)))
 
     def iter_interior_segments(self) -> Iterator[Seg]:
-        for _, _, segs, _ in self.iter_interior_lines():
-            yield from segs
+        return chain.from_iterable(segs for _, _, segs, _ in self.iter_interior_lines())
 
     def iter_boundary_segments(self) -> Iterator[Seg]:
-        for _, _, segs, _ in self._lines(range(1)):
-            yield from segs
+        return chain.from_iterable(segs for _, _, segs, _ in self.iter_boundary_lines())
 
     def iter_tile_anchors(self) -> Iterator[tuple[int, int, int]]:
         """(orientation, p, q) of every unit triangle in the window."""
-        w1, w2, w3 = self
-        if self.orientation == POSITIVE:
-            p0 = (1 - w3) // 3
-            q0 = (1 - w1) // 3
-            t0 = (w2 - 1) // 3
-            for q in range(q0, t0 - p0 + 1):
-                for p in range(p0, t0 - q + 1):
-                    yield (POSITIVE, p, q)
-                    if q > q0:
-                        yield (NEGATIVE, p, q)
-        else:
-            pn = (-2 - w3) // 3
-            qn = (1 - w1) // 3
-            tn = (w2 + 2) // 3
-            for q in range(tn - pn, qn + 1):
-                for p in range(tn - q, pn + 1):
-                    yield (NEGATIVE, p, q)
-                    if q < qn:
-                        yield (POSITIVE, p, q)
+        return tile_anchors(self.line_extents())
 
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.side * self.side >= 12 * r * r
@@ -483,31 +480,30 @@ class BallRegion(NamedTuple):
     def is_boundary(self, seg: Seg) -> bool:
         return False
 
-    def iter_vertices(self) -> Iterator[Vertex]:
-        r = self.radius
-        qspan = (7 * r) // 6 + 2  # |3q-1| <= sqrt(12)*r
-        for q in range(-qspan, qspan + 1):
-            for p in range(-qspan - r, qspan + r + 2):
-                v = Vertex(p, q)
-                if self.contains_vertex(v):
-                    yield v
+    def line_extents(self) -> Iterator[tuple[int, int, int, int]]:
+        """(d, v, first, last) for every grid line meeting the ball:
+        |2g + v| <= isqrt(36r^2 - 3v^2) at the vertices' g = 1 - 3t."""
+        bound = 36 * self.radius * self.radius
+        top = isqrt(bound // 3)
+        for d in (1, 2, 3):
+            for v in range(-top + (top + 1) % 3, top + 1, 3):
+                m = isqrt(bound - 3 * v * v)
+                first, last = (v + 7 - m) // 6, (v + 2 + m) // 6
+                if first <= last:
+                    yield d, v, first, last
+
+    def iter_interior_lines(self) -> Iterator[tuple[int, int, list[Seg], range]]:
+        """(d, v, segments, mids) for each grid line holding a ball segment."""
+        return (line_segments(*e) for e in self.line_extents() if e[2] < e[3])
 
     def iter_interior_segments(self) -> Iterator[Seg]:
-        for p, q in self.iter_vertices():
-            for d in (1, 2, 3):
-                seg = Seg(d, p, q)
-                if self.contains_interior(seg):
-                    yield seg
+        return chain.from_iterable(segs for _, _, segs, _ in self.iter_interior_lines())
 
     def iter_boundary_segments(self) -> Iterator[Seg]:
         return iter(())
 
     def iter_tile_anchors(self) -> Iterator[tuple[int, int, int]]:
-        for p, q in self.iter_vertices():
-            for o in (POSITIVE, NEGATIVE):
-                tri = Triangle.unit_from_anchor(o, p, q)
-                if all(self.contains_vertex(v) for v in tri.vertices()):
-                    yield (o, p, q)
+        return tile_anchors(self.line_extents())
 
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.radius >= r

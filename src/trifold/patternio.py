@@ -2,11 +2,12 @@
 
 Pattern files carry one ``d p q color`` record per segment, sorted by
 (d, p, q), with the records of the region's boundary flagged ``*``;
-the reader rejects flags that differ from the boundary its region
-header gives.  Tiling files carry ``orient p q red_count [slot]``
-records.  Serialization is canonical, so read/write round trips are
-byte identical.  Floats appear only in the SVG emitter, at a fixed four
-decimal places.
+the reader rejects records off the region's line extents and flags
+that differ from the boundary its region header gives.  Tiling files
+carry ``orient p q red_count [slot]`` records, each a tile of the
+region when a header names one.  Serialization is canonical, so
+read/write round trips are byte identical.  Floats appear only in the
+SVG emitter, at a fixed four decimal places.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
         raise ParseError("missing seq header", 2)
     seq = lines[1][4:]
     region = _parse_region(lines[2].split(), 3)
+    extents = {(d, v): range(a, b) for d, v, a, b in region.line_extents()}
     colors: dict[Seg, Color] = {}
     flagged: dict[Seg, int] = {}
     for no, raw in enumerate(lines[3:], start=4):
@@ -92,11 +94,16 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
         if len(parts) not in (4, 5):
             raise ParseError(f"bad record {raw!r}", no)
         try:
-            seg = Seg(int(parts[0]), int(parts[1]), int(parts[2]))
+            d, p, q = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError(f"bad segment id in {raw!r}", no) from None
-        if seg.d not in (1, 2, 3):
-            raise ParseError(f"bad direction {seg.d}", no)
+        if d not in (1, 2, 3):
+            raise ParseError(f"bad direction {d}", no)
+        seg = Seg(d, p, q)
+        # line_of(seg), inlined: this runs once per record
+        v = 1 - 3 * q if d == 1 else 3 * (p + q) - 2 if d == 2 else 1 - 3 * p
+        if (q if d == 3 else p) not in extents.get((d, v), ()):
+            raise ParseError(f"{seg} is outside the region", no)
         if len(parts) == 5:
             if parts[4] != "*":
                 raise ParseError(f"bad flag {parts[4]!r}", no)
@@ -145,9 +152,9 @@ def read_tiling(text: str) -> tuple[dict[Triangle, DecoratedTile], str]:
     if len(lines) < 2 or not lines[1].startswith("seq"):
         raise ParseError("missing seq header", 2)
     seq = lines[1][4:]
-    start = 2
+    start, anchors = 2, None
     if len(lines) > 2 and lines[2].startswith("region"):
-        start = 3
+        start, anchors = 3, set(_parse_region(lines[2].split(), 3).iter_tile_anchors())
     window: dict[Triangle, DecoratedTile] = {}
     for no, raw in enumerate(lines[start:], start=start + 1):
         if not raw.strip():
@@ -166,7 +173,10 @@ def read_tiling(text: str) -> tuple[dict[Triangle, DecoratedTile], str]:
             raise ParseError(f"bad decoration slot {slot}", no)
         if (count in (0, 3)) != (slot is None):
             raise ParseError("decoration present iff red count is 1 or 2", no)
-        tri = Triangle.unit_from_anchor(POSITIVE if parts[0] == "P" else NEGATIVE, p, q)
+        anchor = (POSITIVE if parts[0] == "P" else NEGATIVE, p, q)
+        if anchors is not None and anchor not in anchors:
+            raise ParseError(f"tile {raw!r} is outside the region", no)
+        tri = Triangle.unit_from_anchor(*anchor)
         window[tri] = DecoratedTile(tri, count, slot)
     return window, seq
 

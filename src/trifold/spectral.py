@@ -58,6 +58,8 @@ class Mat:
                     for i, row in enumerate(self.rows)])
 
     def power(self, e: int) -> "Mat":
+        if e < 0:
+            raise ValueError(f"negative matrix power {e}")
         out = Mat.identity(self.n)
         base = self
         while e:

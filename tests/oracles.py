@@ -3,13 +3,13 @@
 These deliberately avoid the library's layer/orientation arithmetic:
 layer triangles are found by enumerating all value triples with the
 right 2-adic valuation and side length, and their boundary segments by
-walking the triangle's corners.  Window segments are found by testing
-every segment in the window's bounding box.
+walking the triangle's corners.  Window segments and unit tiles are
+found by testing every segment or tile in the window's bounding box.
 """
 
 from __future__ import annotations
 
-from trifold.lattice import Seg, Triangle, TriRegion, Vertex, seg_between
+from trifold.lattice import NEGATIVE, POSITIVE, Seg, Triangle, TriRegion, Vertex, seg_between
 
 
 def v2_slow(n: int) -> int:
@@ -80,3 +80,49 @@ def scan_region_segments(region: TriRegion) -> tuple[set[Seg], set[Seg]]:
                 elif region.is_boundary(seg):
                     boundary.add(seg)
     return interior, boundary
+
+
+def _box_tiles(inside, ps: range, qs: range) -> set[tuple[int, int, int]]:
+    """Anchors in the box of unit tiles whose three vertices are inside."""
+    tiles = set()
+    for p in ps:
+        for q in qs:
+            if inside(p, q) and inside(p + 1, q):
+                if inside(p, q + 1):
+                    tiles.add((POSITIVE, p, q))
+                if inside(p + 1, q - 1):
+                    tiles.add((NEGATIVE, p, q))
+    return tiles
+
+
+def scan_region_tiles(region: TriRegion) -> set[tuple[int, int, int]]:
+    """Unit tile anchors of a triangular window: every anchor in the
+    bounding box of its corners, kept when all three tile vertices lie
+    in the closed triangle."""
+    w1, w2, w3 = region
+    sign = 1 if w1 + w2 + w3 > 0 else -1
+    corners = (_corner(w1, w3), _corner(w1, -w1 - w2), _corner(-w2 - w3, w3))
+    ps = [c.p for c in corners]
+    qs = [c.q for c in corners]
+
+    def inside(p: int, q: int) -> bool:
+        return all(sign * f <= sign * w for f, w in zip(Vertex(p, q).functionals(), region))
+
+    return _box_tiles(inside, range(min(ps) - 2, max(ps) + 2), range(min(qs) - 2, max(qs) + 2))
+
+
+def scan_ball(radius: int) -> tuple[set[Seg], set[tuple[int, int, int]]]:
+    """(segments, tile anchors) of the radius-r ball at O, from a box of
+    vertices tested with the Cartesian norm: the vertex (p, q) sits at
+    ((2p + q - 1)/2, (3q - 1)/(2 sqrt 3)), so 12|x|^2 is an integer."""
+    def inside(p: int, q: int) -> bool:
+        return 3 * (2 * p + q - 1) ** 2 + (3 * q - 1) ** 2 <= 12 * radius * radius
+
+    span = range(-2 * radius - 2, 2 * radius + 3)
+    segs = set()
+    for p in span:
+        for q in span:
+            for d, (p2, q2) in ((1, (p + 1, q)), (2, (p + 1, q - 1)), (3, (p, q + 1))):
+                if inside(p, q) and inside(p2, q2):
+                    segs.add(Seg(d, p, q))
+    return segs, _box_tiles(inside, span, span)

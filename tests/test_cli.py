@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import trifold
 from trifold.cli import main
 from trifold.patternio import read_pattern
 
@@ -126,6 +132,15 @@ def test_byte_identical_outputs_and_threads(tmp_path, capsys):
     ["generate", "--seq", "(+)*", "--out", "x.pat"],
     ["generate", "--seq", "++-,+++", "--ball", "4", "--out", "x.pat"],
     ["verify", "--seq", "(+)*"],
+    ["verify"],
+    ["verify", "--random", "1", "--length", "0"],
+    ["verify", "--seq", "++", "--random", "-3"],
+    ["verify", "--seq", "++", "--threads", "0"],
+    ["period", "--seq", "(+)*", "--ball", "16", "--max-norm", "0"],
+    ["period", "--seq", "(+)*", "--ball", "16", "--layer", "-1"],
+    ["generate", "--seq", "(+)*", "--size", "2", "--threads", "0", "--out", "x.pat"],
+    ["reconstruct", "--in", "x.til", "--margin", "-1"],
+    ["density", "--word", "+", "--steps", "0"],
 ])
 def test_malformed_argv_exits_two(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -138,3 +153,41 @@ def test_malformed_argv_exits_two(argv, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
     assert not (tmp_path / "x.pat").exists()
+
+
+def test_negative_matrix_power_exits_two():
+    # in a subprocess: a matrix power loop that never ends must fail, not hang
+    env = dict(os.environ, PYTHONPATH=str(Path(trifold.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "trifold.cli", "matrix", "--word", "+",
+                           "--power", "-1"], capture_output=True, text=True, env=env,
+                          timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len([ln for ln in proc.stderr.splitlines() if "error:" in ln]) == 1
+
+
+def _tiling_inputs(tmp_path, capsys):
+    pat = tmp_path / "p.pat"
+    run(capsys, "generate", "--seq", "(+)*", "--ball", "6", "--out", str(pat))
+    from trifold.patternio import write_tiling
+    from trifold.tiling import to_tiling
+    patch, seq = read_pattern(pat.read_text())
+    return pat, write_tiling(to_tiling(patch), seq, patch.region).splitlines()
+
+
+def test_files_contradicting_their_region_exit_two(tmp_path, capsys):
+    pat, lines = _tiling_inputs(tmp_path, capsys)
+    bad_header = tmp_path / "h.til"
+    bad_header.write_text("\n".join([*lines[:2], "region nonsense", *lines[3:]]) + "\n")
+    outside = tmp_path / "o.til"
+    outside.write_text("\n".join([*lines, "P 40 40 3"]) + "\n")
+    for til in (bad_header, outside):
+        code, out, err = run(capsys, "reconstruct", "--in", str(til), "--ref", str(pat))
+        assert code == 2 and "reconstructed" not in out
+        assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+    stray = tmp_path / "s.pat"
+    stray.write_text(pat.read_text() + "1 999 999 red\n")
+    code, _, err = run(capsys, "render", "--in", str(stray), "--svg", str(tmp_path / "s.svg"))
+    assert code == 2 and "error:" in err
+    assert not (tmp_path / "s.svg").exists()

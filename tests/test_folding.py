@@ -123,6 +123,23 @@ def test_ball_patch_layers_match_triangle_patch():
             assert pt.colors[seg] is col
 
 
+def test_ball_guard_raises_iff_a_segment_leaves_the_shell():
+    from oracles import scan_ball
+    for n in range(1, 7):
+        shell = standard_region(n)
+        for radius in range(2 ** n // 3 + 4):
+            segs, _ = scan_ball(radius)
+            outside = any(not shell.contains_interior(s) for s in segs)
+            for word in (("+-" * n)[:n], ("-+" * n)[:n]):
+                seq = FoldingSequence(word)
+                if outside:
+                    with pytest.raises(OutOfRegion):
+                        ball_patch(seq, radius)
+                else:
+                    want = {s: color_of_segment(seq, s) for s in segs}
+                    assert ball_patch(seq, radius).colors == want
+
+
 def test_recolor_identity_and_single_layer_flip():
     p = ball_patch(ALL_UP, 12)
     same = recolor(p, ALL_UP, ALL_UP)

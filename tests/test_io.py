@@ -2,6 +2,7 @@ import pytest
 
 from trifold.errors import ParseError
 from trifold.folding import FoldingSequence, ball_patch, patch
+from trifold.lattice import Seg
 from trifold.patternio import (
     read_pattern,
     read_tiling,
@@ -88,6 +89,46 @@ def test_pattern_rejects_malformed_region_header(header):
     with pytest.raises(ParseError) as info:
         read_pattern(f"trifold-pattern v1\nseq +\n{header}\n")
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize("record", [
+    "1 999 999 red", "4 0 0 red", "2 0 -9 blue", "3 -3 0 red",
+])
+def test_pattern_rejects_records_outside_region(record):
+    text = write_pattern(patch(FoldingSequence.parse("(+)*"), 2), "(+)*")
+    with pytest.raises(ParseError) as info:
+        read_pattern(text + record + "\n")
+    assert info.value.line == len(text.splitlines()) + 1
+
+
+def test_pattern_region_check_follows_line_extents():
+    # every segment of the closed window, and nothing next to it, reads back
+    for p in (patch(FoldingSequence.parse("(+-)*"), 3), ball_patch(FoldingSequence.parse("(+)*"), 5)):
+        text = write_pattern(p, "s")
+        assert read_pattern(text)[0].colors == p.colors
+        for seg in p.colors:
+            for d in (1, 2, 3):
+                for dp, dq in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+                    near = Seg(d, seg.p + dp, seg.q + dq)
+                    if near in p.colors or near in p.boundary:
+                        continue
+                    with pytest.raises(ParseError):
+                        read_pattern(text + f"{near.d} {near.p} {near.q} red\n")
+
+
+def test_tiling_rejects_bad_region_and_outside_tiles():
+    p = ball_patch(FoldingSequence.parse("(+)*"), 4)
+    text = write_tiling(to_tiling(p), "(+)*", p.region)
+    lines = text.splitlines()
+    with pytest.raises(ParseError) as info:
+        read_tiling("\n".join([lines[0], lines[1], "region nonsense", *lines[3:]]) + "\n")
+    assert info.value.line == 3
+    with pytest.raises(ParseError) as info:
+        read_tiling(text + "P 40 40 3\n")
+    assert info.value.line == len(lines) + 1
+    # without a header any tile is accepted
+    back, _ = read_tiling("\n".join(lines[:2] + ["P 40 40 3"]) + "\n")
+    assert len(back) == 1
 
 
 def test_tiling_roundtrip():

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from oracles import brute_layer_triangles, scan_region_segments, v2_slow
+from oracles import (
+    brute_layer_triangles,
+    scan_ball,
+    scan_region_segments,
+    scan_region_tiles,
+    v2_slow,
+)
 from trifold.errors import MalformedLayer
 from trifold.lattice import (
     NEGATIVE,
@@ -15,6 +21,7 @@ from trifold.lattice import (
     Vertex,
     adjacent_unit_triangles,
     dilate,
+    layer_data,
     layer_kernel,
     layer_of,
     layer_triangle_of,
@@ -236,6 +243,33 @@ def test_region_enumeration_matches_bounding_box_scan(region):
         assert {line_of(s) for s in line_segs} == {Line(d, v)}
         j = 1 if d == 3 else 3
         assert list(mids) == [s.doubled_midpoint()[j - 1] for s in line_segs]
+
+
+@pytest.mark.parametrize("radius", [*range(41), 48])
+def test_ball_enumeration_matches_box_scan(radius):
+    ball = BallRegion(radius)
+    segs, tiles = scan_ball(radius)
+    found = list(ball.iter_interior_segments())
+    assert len(found) == len(segs) and set(found) == segs
+    lines = list(ball.iter_interior_lines())
+    assert [s for _, _, line_segs, _ in lines for s in line_segs] == found
+    for d, v, line_segs, mids in lines:
+        assert line_segs and {line_of(s) for s in line_segs} == {Line(d, v)}
+        k, positive = layer_kernel(d, v, mids)
+        assert [(k, pos) for pos in positive] == [layer_data(s) for s in line_segs]
+    anchors = list(ball.iter_tile_anchors())
+    assert len(anchors) == len(tiles) and set(anchors) == tiles
+
+
+def test_tile_rule_matches_box_scan_on_triangles():
+    for side in range(1, 9):
+        for sign in (1, -1):
+            for a, b in ((0, 0), (3, -2), (-5, 4), (2, 5)):
+                w1, w3 = 1 - 3 * b, 1 - 3 * a
+                region = TriRegion(w1, sign * 3 * side - w1 - w3, w3)
+                anchors = list(region.iter_tile_anchors())
+                assert len(anchors) == side * side
+                assert set(anchors) == scan_region_tiles(region)
 
 
 def test_layer_kernel_rejects_off_grid_lines():

@@ -214,3 +214,10 @@ def test_rank_and_inverse_helpers():
     assert M_PLUS.minus_scalar_diag(0).rank() == 6  # two kernel vectors
     with pytest.raises(ValueError):
         Mat([[1, 1], [1, 1]]).inverse()
+
+
+def test_power_rejects_negative_exponents():
+    assert M_PLUS.power(0) == Mat.identity()
+    assert M_PLUS.power(3) == M_PLUS * M_PLUS * M_PLUS
+    with pytest.raises(ValueError):
+        M_PLUS.power(-1)
