@@ -110,8 +110,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_density(args) -> int:
-    for n in range(1, args.steps + 1):
-        vec = spectral.density_limit(args.word, n, args.seed)
+    vectors = spectral.density_vectors(args.word, args.steps, args.seed)
+    for n, vec in enumerate(vectors, start=1):
         print(f"n={n} " + " ".join(str(x) for x in vec))
     dev = max(abs(x - Fraction(1, 8)) for x in vec)
     print(f"max_deviation {dev}")

@@ -1,9 +1,13 @@
 """Exact linear algebra for the 8x8 substitution count matrices.
 
-Everything here is rational arithmetic: matrix products, the fixed
-conjugating matrix C whose columns are eigenvectors of M+, exact rank,
-eigenspace dimensions, and the normalized tile-density vectors.  No
-numeric eigensolver is involved; the expected eigenvalues are known
+The count matrices are integral, so products, powers, matrix-vector
+steps and ranks stay in Python ints: `Mat` keeps int entries as ints,
+and `Mat.rank` uses fraction-free (Bareiss) elimination.  A `Fraction`
+appears only where a division really happens: the inverse of the fixed
+conjugating matrix C (whose columns are eigenvectors of M+), the exact
+division by its common denominator when M is brought to triangular
+form, and the 4^(kn) scaling of the tile-density vectors.  No float and
+no numeric eigensolver is involved; the expected eigenvalues are known
 integers and every check is an equality.
 """
 
@@ -12,19 +16,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .errors import NotTriangular
 
 DIM = 8
 
 
+def _exact(x):
+    """An int stays an int; anything else becomes a `Fraction`."""
+    return x if type(x) is int else Fraction(x)
+
+
+def _divide(x, d: int):
+    """x / d exactly: an int when d divides x, a `Fraction` otherwise."""
+    q, r = divmod(x, d)
+    return q if r == 0 else Fraction(x) / d
+
+
+def _integral_row(row) -> list[int]:
+    """The row scaled by the lcm of its denominators (same span)."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
 class Mat:
-    """Dense 8x8 (or compatible) matrix over exact rationals."""
+    """Dense 8x8 (or compatible) matrix over exact rationals: int
+    entries stay ints, any other entry is held as a `Fraction`."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(map(_exact, row)) for row in rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.rows == other.rows
@@ -45,15 +69,13 @@ class Mat:
 
     def __mul__(self, other: "Mat") -> "Mat":
         cols = list(zip(*other.rows))
-        return Mat([[sum(a * b for a, b in zip(row, col)) for col in cols]
+        return Mat([[sum(map(mul, row, col)) for col in cols]
                     for row in self.rows])
 
-    def vec(self, v) -> tuple[Fraction, ...]:
-        return tuple(sum(a * Fraction(b) for a, b in zip(row, v))
-                     for row in self.rows)
+    def vec(self, v) -> tuple:
+        return tuple(sum(map(mul, row, v)) for row in self.rows)
 
     def minus_scalar_diag(self, lam) -> "Mat":
-        lam = Fraction(lam)
         return Mat([[x - lam if i == j else x for j, x in enumerate(row)]
                     for i, row in enumerate(self.rows)])
 
@@ -69,30 +91,33 @@ class Mat:
             e >>= 1
         return out
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
     def rank(self) -> int:
-        m = [list(row) for row in self.rows]
+        """Rank by fraction-free (Bareiss) elimination.  Each row is
+        first scaled to integers; every later division is exact."""
+        m = [_integral_row(row) for row in self.rows]
         n_rows, n_cols = len(m), len(m[0])
-        rank = 0
+        rank, prev = 0, 1
         for col in range(n_cols):
             pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
             if pivot is None:
                 continue
             m[rank], m[pivot] = m[pivot], m[rank]
-            pv = m[rank][col]
+            top = m[rank]
+            pv = top[col]
             for r in range(rank + 1, n_rows):
-                if m[r][col]:
-                    factor = m[r][col] / pv
-                    for c in range(col, n_cols):
-                        m[r][c] -= factor * m[rank][c]
+                a = m[r][col]
+                m[r] = [0] * col + [(pv * x - a * y) // prev
+                                    for x, y in zip(m[r][col:], top[col:])]
+            prev = pv
             rank += 1
         return rank
 
     def inverse(self) -> "Mat":
         n = self.n
-        m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+        m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
              for i, row in enumerate(self.rows)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if m[r][col]), None)
@@ -167,6 +192,15 @@ def c_inverse() -> Mat:
     return inv
 
 
+@lru_cache(maxsize=1)
+def c_inverse_scaled() -> tuple[int, Mat]:
+    """(D, D C^-1) for the common denominator D of C^-1's entries, so
+    that D C^-1 is an integer matrix."""
+    inv = c_inverse()
+    d = lcm(*(x.denominator for row in inv.rows for x in row))
+    return d, Mat([[int(x * d) for x in row] for row in inv.rows])
+
+
 def rule_matrix(rule: str) -> Mat:
     if rule == "+":
         return M_PLUS
@@ -189,19 +223,20 @@ def expected_diagonal(k: int) -> tuple[int, ...]:
     return (4 ** k, 2 ** k, (-2) ** k, (-2) ** k, 1, 1, 0, 0)
 
 
-def triangularize(m: Mat) -> tuple[Mat, tuple[Fraction, ...]]:
+def triangularize(m: Mat) -> tuple[Mat, tuple]:
     """C^-1 M C, which must come out lower triangular; returns it with
-    its diagonal.  A nonzero entry above the diagonal raises."""
-    t = c_inverse() * m * C_MATRIX
-    for i, row in enumerate(t.rows):
+    its diagonal.  A nonzero entry above the diagonal raises.  With D
+    the common denominator of C^-1 it is computed as (D C^-1)(M C),
+    in integers when M is integral, and divided exactly by D."""
+    d, scaled_inv = c_inverse_scaled()
+    scaled = scaled_inv * (m * C_MATRIX)
+    for i, row in enumerate(scaled.rows):
         for j in range(i + 1, DIM):
             if row[j]:
-                raise NotTriangular(f"entry ({i},{j}) = {row[j]} above diagonal")
+                raise NotTriangular(
+                    f"entry ({i},{j}) = {_divide(row[j], d)} above diagonal")
+    t = Mat([[_divide(x, d) for x in row] for row in scaled.rows])
     return t, tuple(t.rows[i][i] for i in range(DIM))
-
-
-def _scaled_vec(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in v)
 
 
 @dataclass
@@ -244,15 +279,15 @@ def eigen_report(word: str) -> EigenReport:
     if tuple(diag) != eigenvalues:
         raise NotTriangular(f"diagonal {tuple(diag)} differs from {eigenvalues}")
 
-    pf_ok = m.vec(ONES) == _scaled_vec(x * 4 ** k for x in ONES)
+    pf_ok = m.vec(ONES) == tuple(x * 4 ** k for x in ONES)
 
     if word[0] == "+":
         units = (U_PLUS, U_PLUS_LOWER)
     else:
         units = (U_MINUS, U_MINUS_LOWER)
-    unit_ok = all(m.vec(u) == _scaled_vec(u) for u in units)
+    unit_ok = all(m.vec(u) == u for u in units)
 
-    zero = _scaled_vec([0] * 8)
+    zero = (0,) * DIM
     kernel_ok = m.vec(KERNEL_UPPER) == zero and m.vec(KERNEL_LOWER) == zero
 
     dims = {}
@@ -264,11 +299,30 @@ def eigen_report(word: str) -> EigenReport:
                        kernel_ok, dims, diagonalizable)
 
 
-def density_limit(word: str, n: int, seed: int) -> tuple[Fraction, ...]:
-    """Exact class-density vector M_F^n e_seed / 4^(kn); seed is 1..8."""
+def density_vectors(word: str, steps: int, seed: int):
+    """The exact class-density vectors M_F^n e_seed / 4^(kn) for
+    n = 1..steps, in order; seed is 1..8.  M_F is built once and the
+    seed column is stepped as an integer vector, M_F^n e = M_F (M_F^(n-1) e).
+    Arguments are checked here, at call time, not on first iteration."""
     if not 1 <= seed <= DIM:
         raise ValueError("seed index must be 1..8")
-    m = word_matrix(word).power(n)
-    col = m.column(seed - 1)
-    scale = Fraction(1, 4 ** (len(word) * n))
-    return tuple(x * scale for x in col)
+    if steps < 0:
+        raise ValueError(f"negative step count {steps}")
+    return _density_steps(word_matrix(word), 4 ** len(word), steps, seed)
+
+
+def _density_steps(m: Mat, growth: int, steps: int, seed: int):
+    v = tuple(int(j == seed - 1) for j in range(DIM))
+    scale = 1
+    for _ in range(steps):
+        v = m.vec(v)
+        scale *= growth
+        yield tuple(Fraction(x, scale) for x in v)
+
+
+def density_limit(word: str, n: int, seed: int) -> tuple[Fraction, ...]:
+    """Exact class-density vector M_F^n e_seed / 4^(kn); seed is 1..8."""
+    vec = tuple(Fraction(int(j == seed - 1)) for j in range(DIM))  # n = 0
+    for vec in density_vectors(word, n, seed):
+        pass
+    return vec

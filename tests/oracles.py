@@ -5,9 +5,13 @@ layer triangles are found by enumerating all value triples with the
 right 2-adic valuation and side length, and their boundary segments by
 walking the triangle's corners.  Window segments and unit tiles are
 found by testing every segment or tile in the window's bounding box.
+Matrix products and ranks are taken over plain `Fraction`s, with no
+integer shortcuts.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from trifold.lattice import NEGATIVE, POSITIVE, Seg, Triangle, TriRegion, Vertex, seg_between
 
@@ -126,3 +130,34 @@ def scan_ball(radius: int) -> tuple[set[Seg], set[tuple[int, int, int]]]:
                 if inside(p, q) and inside(p2, q2):
                     segs.add(Seg(d, p, q))
     return segs, _box_tiles(inside, span, span)
+
+
+def fraction_rows(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def fraction_product(a, b) -> list[list[Fraction]]:
+    """Matrix product over plain `Fraction`s (row-times-column sums)."""
+    a, b = fraction_rows(a), fraction_rows(b)
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination over plain `Fraction`s."""
+    m = fraction_rows(rows)
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for r in range(rank + 1, n_rows):
+            if m[r][col]:
+                factor = m[r][col] / pv
+                for c in range(col, n_cols):
+                    m[r][c] -= factor * m[rank][c]
+        rank += 1
+    return rank

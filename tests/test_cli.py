@@ -191,3 +191,22 @@ def test_files_contradicting_their_region_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "render", "--in", str(stray), "--svg", str(tmp_path / "s.svg"))
     assert code == 2 and "error:" in err
     assert not (tmp_path / "s.svg").exists()
+
+
+def _pinned_outputs():
+    """(argv, stdout) pairs from tests/data/spectral_cli.txt: each `$ `
+    line is a command and the lines after it are its stdout."""
+    text = (Path(__file__).parent / "data" / "spectral_cli.txt").read_text()
+    cases = []
+    for block in text.split("$ ")[1:]:
+        command, _, out = block.partition("\n")
+        cases.append(pytest.param(command.split(), out, id=command))
+    return cases
+
+
+@pytest.mark.parametrize("argv, expected", _pinned_outputs())
+def test_spectral_outputs_are_pinned(argv, expected, capsys):
+    # entries print as `3` and `3/16`, never `3/1` or a float
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected

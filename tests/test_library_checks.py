@@ -1,4 +1,5 @@
-"""Library checks must survive ``python -O``, which strips assert statements."""
+"""Library checks must survive ``python -O``, which strips assert statements;
+the spectral core stays exact and keeps no per-word state between calls."""
 
 import ast
 from pathlib import Path
@@ -15,3 +16,19 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_spectral_has_no_floats_or_argument_caches():
+    path = Path(trifold.__file__).parent / "spectral.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    floats = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+              or isinstance(node, ast.Name) and node.id == "float"]
+    assert floats == []
+    # a cache on a function of a word would outlive the command that filled it
+    cached = [node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.decorator_list
+              and (node.args.args or node.args.posonlyargs or node.args.kwonlyargs
+                   or node.args.vararg or node.args.kwarg)
+              and any("cache" in ast.unparse(d) for d in node.decorator_list)]
+    assert cached == []

@@ -16,6 +16,7 @@ from trifold.spectral import (
     U_PLUS,
     c_inverse,
     density_limit,
+    density_vectors,
     eigen_report,
     expected_diagonal,
     triangularize,
@@ -221,3 +222,66 @@ def test_power_rejects_negative_exponents():
     assert M_PLUS.power(3) == M_PLUS * M_PLUS * M_PLUS
     with pytest.raises(ValueError):
         M_PLUS.power(-1)
+
+
+def _exact_only(values) -> bool:
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+def test_count_matrices_hold_ints():
+    for m in (M_PLUS, word_matrix("+-+"), word_matrix("++").power(3),
+              M_MINUS.minus_scalar_diag(4)):
+        assert all(type(x) is int for row in m.rows for x in row)
+    assert all(type(x) is int for x in M_PLUS.vec(U_PLUS))
+
+
+def test_no_floats_leak_from_exact_results():
+    inv = Mat([[2, 0], [0, 4]]).inverse()
+    assert inv.rows == ((Fraction(1, 2), 0), (0, Fraction(1, 4)))
+    assert _exact_only(x for row in inv.rows for x in row)
+    assert _exact_only(x for row in c_inverse().rows for x in row)
+    assert type(Mat([[1, 2], [3, 4]]).rank()) is int
+    assert Mat([[Fraction(1, 2), 1], [1, 2]]).rank() == 1
+    assert Mat([[0.5, 1], [1, 2]]).rows[0][0] == Fraction(1, 2)
+    for word in ("+", "-+", "++--+"):
+        t, diag = triangularize(word_matrix(word))
+        assert _exact_only(x for row in t.rows for x in row)
+        assert _exact_only(diag)
+        rep = eigen_report(word)
+        assert _exact_only(rep.eigenvalues)
+        assert _exact_only(list(rep.eigenspace_dims) + list(rep.eigenspace_dims.values()))
+        for vec in density_vectors(word, 4, 3):
+            assert all(type(x) is Fraction for x in vec)
+
+
+def test_density_limit_step_zero_is_the_seed_column():
+    for seed in range(1, 9):
+        want = tuple(Fraction(int(j == seed - 1)) for j in range(8))
+        assert density_limit("+-", 0, seed) == want
+    assert list(density_vectors("+-", 0, 2)) == []
+
+
+def test_density_limit_rejects_negative_steps():
+    with pytest.raises(ValueError):
+        density_limit("+", -1, 1)
+    with pytest.raises(ValueError):
+        density_vectors("+", -1, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 9, -1])
+def test_density_vectors_reject_bad_seeds_at_call_time(seed):
+    with pytest.raises(ValueError):
+        density_limit("+-", 3, seed)
+    with pytest.raises(ValueError):
+        density_vectors("+-", 3, seed)  # not iterated: the call itself raises
+
+
+def test_density_vectors_reject_bad_words_at_call_time():
+    for word in ("", "+x"):
+        with pytest.raises(ValueError):
+            density_vectors(word, 3, 1)
+
+
+def test_density_limit_is_the_last_density_vector():
+    vectors = list(density_vectors("-+-", 7, 6))
+    assert [density_limit("-+-", n, 6) for n in range(1, 8)] == vectors
