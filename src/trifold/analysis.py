@@ -4,6 +4,12 @@ All statistics exclude flagged boundary data; frequencies are exact
 rationals.  Star words are read counterclockwise from the rightward
 segment and compared up to rotation by multiples of 2*pi/3, i.e.
 cyclic shifts by two positions.
+
+The measurements work on the window store's rows: a vertex star is a
+6-bit code from six shifted rows, a tile a byte code from its three
+side rows, both counted with ``bytes.count`` and mapped through a table;
+a translation is a compare of each row with its shifted partner, and a
+layer is a set of whole grid lines.
 """
 
 from __future__ import annotations
@@ -12,12 +18,18 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import WindowTooSmall
-from .folding import Color, PatternPatch
-from .lattice import Seg, incident_segments, layer_of, line_of, v2
+from .folding import (
+    NO_COLOR,
+    TILE_SIDES,
+    UNCOLOR,
+    PatternPatch,
+    WindowColors,
+    combine,
+    through_lines,
+)
+from .lattice import NEGATIVE, POSITIVE, Seg, line_of, v2
 from .substitution import class_index
 from .tiling import decorate
-
-RED = Color.RED
 
 
 def star_class(star: str) -> str:
@@ -35,22 +47,48 @@ def star_allowed(star: str) -> bool:
     return (idx[1] - idx[0]) % 6 in (1, 5)
 
 
+def _star_text(code: int) -> str:
+    return "".join("r" if code >> (5 - i) & 1 else "b" for i in range(6))
+
+
+#: Star class of a 6-bit vertex code, first spoke (east) most significant.
+STAR_CLASSES = tuple(star_class(_star_text(code)) for code in range(64))
+_IS_UNCOLORED = bytes(c == NO_COLOR for c in range(256))
+_NONZERO_TO_64 = bytes([0] + [64] * 255)
+
+
 def vertex_star_histogram(patch: PatternPatch) -> dict[str, int]:
-    """Star classes over vertices whose six segments are all interior."""
-    interior = patch.interior_colors()
-    seen = set()
+    """Star classes over vertices whose six segments are all interior.
+
+    The six spokes of the vertices on row q, counterclockwise from east,
+    are six shifted slices of the rows: Seg(1, p, q), Seg(3, p, q),
+    Seg(2, p-1, q+1), Seg(1, p-1, q), Seg(3, p, q-1) and Seg(2, p, q).
+    They combine into one 6-bit code per vertex; a vertex with an
+    uncolored spoke gets a code of 64 or more and is not counted.
+    """
+    r1, r2, r3 = patch.colors.interior()
+    spokes = ((r1, 0, 0), (r3, 0, 0), (r2, 1, -1), (r1, 0, -1), (r3, -1, 0), (r2, 0, 0))
+    found = []
+    for q in r1:
+        rows = [(by_q.get(q + dq), dp) for by_q, dq, dp in spokes]
+        if any(row is None for row, _ in rows):
+            continue
+        lo = max(first - dp for (first, _), dp in rows)
+        hi = min(first + len(row) - dp for (first, row), dp in rows)
+        if lo >= hi:
+            continue
+        parts = [row[lo + dp - first:hi + dp - first] for (first, row), dp in rows]
+        n = hi - lo
+        codes = combine(parts, (32, 16, 8, 4, 2, 1), n)
+        uncolored = combine([part.translate(_IS_UNCOLORED) for part in parts], (1,) * 6, n)
+        found.append(combine((codes, uncolored.translate(_NONZERO_TO_64)), (1, 1), n))
+    codes = b"".join(found)
     hist: dict[str, int] = {}
-    for seg in interior:
-        for vert in seg.endpoints():
-            if vert in seen:
-                continue
-            seen.add(vert)
-            cols = [interior.get(s) for s in incident_segments(vert)]
-            if None in cols:
-                continue
-            star = "".join("r" if c is RED else "b" for c in cols)
-            key = star_class(star)
-            hist[key] = hist.get(key, 0) + 1
+    for code in range(64):
+        count = codes.count(code)
+        if count:
+            key = STAR_CLASSES[code]
+            hist[key] = hist.get(key, 0) + count
     return hist
 
 
@@ -59,14 +97,28 @@ def disallowed_stars(patch: PatternPatch) -> dict[str, int]:
             if not star_allowed(s)}
 
 
+#: Translation type (orientation, red count, slot) of a tile code, per
+#: orientation; None when a side has no color.
+_TYPES = {o: tuple(None if sides is None else (o, *decorate(sides)) for sides in TILE_SIDES)
+          for o in (POSITIVE, NEGATIVE)}
+
+
 def decorated_type_counts(patch: PatternPatch) -> dict[tuple[int, int, Optional[int]], int]:
     """Counts per translation type (orientation, red count, decoration
     slot) over fully colored tiles; 16 types in all, 12 of them
-    decorated."""
+    decorated.  Each row of tiles is one byte string of tile codes, and
+    the codes of each orientation are counted together."""
+    rows: dict[int, list[bytes]] = {POSITIVE: [], NEGATIVE: []}
+    for o, _, _, codes in patch.colors.tile_codes():
+        rows[o].append(codes)
     out: dict[tuple[int, int, Optional[int]], int] = {}
-    for tri, cols in patch.full_tiles():
-        key = (tri.orientation, *decorate(cols))
-        out[key] = out.get(key, 0) + 1
+    for o, parts in rows.items():
+        codes = b"".join(parts)
+        for code, key in enumerate(_TYPES[o]):
+            if key is not None:
+                count = codes.count(code)
+                if count:
+                    out[key] = out.get(key, 0) + count
     return out
 
 
@@ -95,29 +147,45 @@ def period_check(patch: PatternPatch, max_norm: int) -> list[tuple[int, int]]:
     if not patch.region.contains_ball_of_radius(2 * max_norm):
         raise WindowTooSmall(
             f"window cannot certify periods up to norm {max_norm}")
-    interior = patch.interior_colors()
+    rows = patch.colors.interior()
     survivors = []
     limit = max_norm * max_norm
     for a in range(-max_norm, max_norm + 1):
         for b in range(-max_norm, max_norm + 1):
             if (a, b) == (0, 0) or a * a + a * b + b * b > limit:
                 continue
-            ok = True
-            for seg, col in interior.items():
-                other = interior.get(seg.translate(a, b))
-                if other is not None and other is not col:
-                    ok = False
-                    break
-            if ok:
+            if all(_rows_agree(by_q, a, b) for by_q in rows):
                 survivors.append((a, b))
     return sorted(survivors)
 
 
+def _rows_agree(by_q: dict[int, tuple[int, bytes]], a: int, b: int) -> bool:
+    """Whether each row agrees with its translate by (a, b) wherever both
+    are colored: code pairs (1, 0) and (0, 1) sum to 1 and 4 below."""
+    for q, (first, row) in by_q.items():
+        other = by_q.get(q + b)
+        if other is None:
+            continue
+        lo = max(first, other[0] - a)
+        hi = min(first + len(row), other[0] + len(other[1]) - a)
+        if lo >= hi:
+            continue
+        mine = row[lo - first:hi - first]
+        theirs = other[1][lo + a - other[0]:hi + a - other[0]]
+        if mine != theirs:
+            pairs = combine((mine, theirs), (1, 4), hi - lo)
+            if 1 in pairs or 4 in pairs:
+                return False
+    return True
+
+
 def filter_layer(patch: PatternPatch, k: int) -> PatternPatch:
     """Restrict the window coloring to layer-k segments."""
-    colors = {s: c for s, c in patch.colors.items()
-              if layer_of(s) == k}
-    return PatternPatch(patch.region, colors)
+    def keep(d: int, v: int, t0: int, cells: bytearray) -> Optional[bytes]:
+        return None if v2(v) + 1 == k else cells.translate(UNCOLOR)
+
+    rows = through_lines(patch.region, patch.colors.rows, keep)
+    return PatternPatch(patch.region, WindowColors(patch.region, rows))
 
 
 def layer_block_check(patch: PatternPatch, k: int) -> bool:

@@ -7,20 +7,34 @@ elementary folding, the segment is red (a valley) exactly when
     (layer triangle positive) XOR (k even) XOR (a_k is a folding down)
 
 holds.  Working per segment makes the generator a pure function, so a
-window of any shape can be produced directly.
+window of any shape can be produced directly; ``color_of_segment`` is
+that one-segment form.
+
+A window keeps its colors in a ``WindowColors`` store: per direction,
+one byte string per anchor row q with the row's first p, a byte per
+segment (0 blue, 1 red, 2 no color), read through the
+``Mapping[Seg, Color]`` interface.  ``patch`` and ``ball_patch`` paint
+the store a grid line at a time: a line is one layer k, and its colors
+repeat with period 2^k, so ``layer_kernel`` runs once per line and the
+line is one tiled write; the store's rows are extended slices across
+the lines.  Tile codes, interior rows and mismatches are whole-row
+byte operations.  The unfolder and the substituter hand their dicts to
+the same store through the ``PatternPatch`` constructor and never meet
+the paint rule.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import lcm
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import IncompatibleSequences, OutOfRegion
 from .lattice import (
+    POSITIVE,
     BallRegion,
     Region,
     Seg,
@@ -28,9 +42,9 @@ from .lattice import (
     TriRegion,
     layer_data,
     layer_kernel,
-    layer_of,
     standard_region,
-    unit_tile_segments,
+    tile_rows,
+    v2,
 )
 
 UP = "+"
@@ -100,6 +114,189 @@ class FoldingSequence:
         return not self.finite or k <= len(self.word)
 
 
+#: Store codes: a window keeps one byte per segment.
+BLUE_CODE, RED_CODE, NO_COLOR = 0, 1, 2
+CODE_COLORS = (Color.BLUE, Color.RED)
+COLOR_CODES = {Color.BLUE: BLUE_CODE, Color.RED: RED_CODE}
+#: bytes.translate tables: swap red and blue, or uncolor everything.
+SWAP = bytes([RED_CODE, BLUE_CODE, *range(2, 256)])
+UNCOLOR = bytes([NO_COLOR] * 256)
+
+Rows = tuple[dict[int, tuple[int, bytes]], ...]
+
+
+def combine(slices: Iterable[bytes], weights: Iterable[int], n: int) -> bytes:
+    """Per position, the sum of weight * byte over equal-length slices of
+    length n; every sum must stay below 256."""
+    total = 0
+    for part, weight in zip(slices, weights):
+        total += weight * int.from_bytes(part, "big")
+    return total.to_bytes(n, "big")
+
+
+def _tile_sides(code: int) -> Optional[tuple[Color, Color, Color]]:
+    digits = (code & 3, code >> 2 & 3, code >> 4 & 3)
+    return None if max(digits) >= NO_COLOR else tuple(CODE_COLORS[c] for c in digits)
+
+
+#: Side colors of a tile code c1 + 4 c2 + 16 c3 (by direction), or None
+#: when a side has no color.
+TILE_SIDES = tuple(_tile_sides(code) for code in range(64))
+
+
+class WindowColors(Mapping):
+    """The colors of a window, one byte per segment, as a read-only
+    ``Mapping[Seg, Color]``.
+
+    ``rows[d - 1]`` maps each anchor row q of the region, in increasing
+    q, to (first, bytes): byte i is the code of Seg(d, first + i, q),
+    BLUE_CODE, RED_CODE or NO_COLOR (an unknown boundary segment, or one
+    left out).  The rows are the region's ``segment_rows``, so a segment
+    of the window is always in the store and the mapping holds exactly
+    its colored ones.
+    """
+
+    __slots__ = ("region", "rows", "_len", "_interior")
+
+    def __init__(self, region: Region, rows: Rows):
+        self.region = region
+        self.rows = rows
+        self._len: Optional[int] = None
+        self._interior: Optional[Rows] = None
+
+    @classmethod
+    def from_mapping(cls, region: Region, colors: Mapping[Seg, Color]) -> "WindowColors":
+        """Store any segment -> color mapping; every segment must be on
+        the window, else OutOfRegion."""
+        rows = tuple({q: (first, bytearray(bytes([NO_COLOR]) * (stop - first)))
+                      for q, (first, stop) in extents.items()}
+                     for extents in region.segment_rows())
+        for seg, color in colors.items():
+            d, p, q = seg
+            entry = rows[d - 1].get(q) if d in (1, 2, 3) else None
+            if entry is None or not 0 <= p - entry[0] < len(entry[1]):
+                raise OutOfRegion(f"{seg} is not a segment of {region}")
+            entry[1][p - entry[0]] = COLOR_CODES[color]
+        return cls(region, tuple({q: (first, bytes(row)) for q, (first, row) in r.items()}
+                                 for r in rows))
+
+    def _code(self, seg) -> int:
+        try:
+            d, p, q = seg
+            entry = self.rows[d - 1].get(q) if d in (1, 2, 3) else None
+        except (TypeError, ValueError):
+            return NO_COLOR
+        if entry is None:
+            return NO_COLOR
+        first, row = entry
+        return row[p - first] if 0 <= p - first < len(row) else NO_COLOR
+
+    def __getitem__(self, seg) -> Color:
+        code = self._code(seg)
+        if code == NO_COLOR:
+            raise KeyError(seg)
+        return CODE_COLORS[code]
+
+    def get(self, seg, default=None):
+        code = self._code(seg)
+        return default if code == NO_COLOR else CODE_COLORS[code]
+
+    def __contains__(self, seg) -> bool:
+        return self._code(seg) != NO_COLOR
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = sum(len(row) - row.count(NO_COLOR)
+                            for r in self.rows for _, row in r.values())
+        return self._len
+
+    def __iter__(self) -> Iterator[Seg]:
+        return (seg for seg, _ in iter_colored(self.rows))
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, WindowColors) and other.rows == self.rows:
+            return True
+        return Mapping.__eq__(self, other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"WindowColors({self.region!r}, {len(self)} colored)"
+
+    def interior(self) -> Rows:
+        """The rows with the region's boundary segments uncolored."""
+        if self._interior is None:
+            self._interior = self.on_sides(UNCOLOR)
+        return self._interior
+
+    def on_sides(self, table: bytes) -> Rows:
+        """The rows with every boundary byte passed through ``table``."""
+        sides = self.region.side_anchors()
+        if sides is None:
+            return self.rows
+        q1, c2, p3 = sides
+        out = []
+        for d, rows in enumerate(self.rows, start=1):
+            new = dict(rows)
+            for q, (first, row) in rows.items():
+                if d == 1:
+                    if q == q1:
+                        new[q] = (first, row.translate(table))
+                    continue
+                i = (c2 - q if d == 2 else p3) - first
+                if 0 <= i < len(row):
+                    new[q] = (first, row[:i] + row[i:i + 1].translate(table) + row[i + 1:])
+            out.append(new)
+        return tuple(out)
+
+    def tile_codes(self) -> Iterator[tuple[int, int, int, bytes]]:
+        """(orientation, q, first, codes) per row of unit tiles: byte i is
+        c1 + 4 c2 + 16 c3 for the tile at p = first + i, c_d the code of
+        its direction-d side (see TILE_SIDES)."""
+        r1, r2, r3 = self.rows
+        for o, q, first, stop in tile_rows(self.region.segment_rows()):
+            # positive (p, q): Seg(1, p, q), Seg(2, p, q+1), Seg(3, p, q);
+            # negative (p, q): Seg(1, p, q), Seg(2, p, q), Seg(3, p+1, q-1)
+            if o == POSITIVE:
+                sides = (r1[q], r2[q + 1], r3[q])
+                shifts = (0, 0, 0)
+            else:
+                sides = (r1[q], r2[q], r3[q - 1])
+                shifts = (0, 0, 1)
+            n = stop - first
+            parts = [row[first + s - f:first + s - f + n] for (f, row), s in zip(sides, shifts)]
+            yield o, q, first, combine(parts, (1, 4, 16), n)
+
+
+def iter_colored(rows: Rows) -> Iterator[tuple[Seg, Color]]:
+    """(segment, color) for every colored byte of the rows, in (d, q, p) order."""
+    for d, by_q in enumerate(rows, start=1):
+        for q, (first, row) in by_q.items():
+            for i, code in enumerate(row):
+                if code != NO_COLOR:
+                    yield Seg(d, first + i, q), CODE_COLORS[code]
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter_colored(self._mapping.rows)
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return (color for _, color in iter_colored(self._mapping.rows))
+
+
 @dataclass(frozen=True)
 class PatternPatch:
     """A window of segment colors.
@@ -107,19 +304,25 @@ class PatternPatch:
     The boundary segments are the region's side lines (none for a
     ball).  They may carry a color (when derivable) but are excluded
     from all comparisons; ``colors`` holds every known segment,
-    boundary included.
+    boundary included.  Any mapping given as ``colors`` is stored as
+    the region's WindowColors, which every generator hands its colors
+    to.
     """
 
     region: Region
-    colors: dict[Seg, Color]
+    colors: Mapping[Seg, Color]
+
+    def __post_init__(self):
+        colors = self.colors
+        if not (isinstance(colors, WindowColors) and colors.region == self.region):
+            object.__setattr__(self, "colors", WindowColors.from_mapping(self.region, colors))
 
     @cached_property
     def boundary(self) -> frozenset[Seg]:
         return frozenset(self.region.iter_boundary_segments())
 
-    def interior_items(self) -> Iterable[tuple[Seg, Color]]:
-        bnd = self.boundary
-        return ((s, c) for s, c in self.colors.items() if s not in bnd)
+    def interior_items(self) -> Iterator[tuple[Seg, Color]]:
+        return iter_colored(self.colors.interior())
 
     def interior_colors(self) -> dict[Seg, Color]:
         return dict(self.interior_items())
@@ -131,24 +334,17 @@ class PatternPatch:
         if not isinstance(self.region, TriRegion):
             raise ValueError("only triangular patches translate")
         region = TriRegion(*Triangle(*self.region).translate(a, b))
-        colors = {s.translate(a, b): c for s, c in self.colors.items()}
-        return PatternPatch(region, colors)
+        rows = tuple({q + b: (first + a, row) for q, (first, row) in r.items()}
+                     for r in self.colors.rows)
+        return PatternPatch(region, WindowColors(region, rows))
 
-    def full_tiles(self):
+    def full_tiles(self) -> Iterator[tuple[Triangle, tuple[Color, Color, Color]]]:
         """(triangle, side colors) for tiles with all three sides known."""
-        get = self.colors.get
-        for o, p, q in self.region.iter_tile_anchors():
-            s1, s2, s3 = unit_tile_segments(o, p, q)
-            c1 = get(s1)
-            if c1 is None:
-                continue
-            c2 = get(s2)
-            if c2 is None:
-                continue
-            c3 = get(s3)
-            if c3 is None:
-                continue
-            yield Triangle.unit_from_anchor(o, p, q), (c1, c2, c3)
+        for o, q, first, codes in self.colors.tile_codes():
+            for i, code in enumerate(codes):
+                sides = TILE_SIDES[code]
+                if sides is not None:
+                    yield Triangle.unit_from_anchor(o, first + i, q), sides
 
 
 def _layer_colors(seq: FoldingSequence, k: int) -> tuple[Color, Color]:
@@ -168,47 +364,97 @@ def color_of_segment(seq: FoldingSequence, seg: Seg) -> Color:
     return _layer_colors(seq, k)[positive]
 
 
-def _paint(seq: FoldingSequence,
-           lines: Iterable[tuple[int, int, list[Seg], range]]) -> dict[Seg, Color]:
-    """Colors of the segments on (d, v, segments, mids) lines."""
-    palette: dict[int, tuple[Color, Color]] = {}
-    colors: dict[Seg, Color] = {}
-    for d, v, segs, mids in lines:
-        k, positive = layer_kernel(d, v, mids)
-        pair = palette.get(k)
-        if pair is None:
-            pair = palette[k] = _layer_colors(seq, k)
-        colors.update(zip(segs, map(pair.__getitem__, positive)))
-    return colors
+def through_lines(region: Region, rows: Optional[Rows],
+                  line_fn: Callable[[int, int, int, bytearray], Optional[bytes]]) -> Rows:
+    """The region's rows rebuilt one grid line at a time.
+
+    Per direction d, Seg(d, p, q) lies on the line of index L = q, p + q
+    or p (f_d = 1 - 3L, 3L - 2 or 1 - 3L) at position t = p, p or q;
+    every line is one layer.  The segments are laid out one line per
+    grid row, ``line_fn(d, v, t0, cells)`` returns the new bytes of the
+    line {f_d = v} (positions t0, t0 + 1, ...; None keeps them), and the
+    rows are read back: a store row is an extended slice of the grid
+    (step 1, width + 1 or width).  ``rows`` None starts from NO_COLOR;
+    cells off the window are never read back.
+    """
+    out = []
+    for d, extents in enumerate(region.segment_rows(), start=1):
+        # (line, position) of each row's first segment, and of its last
+        ends = {q: ((q, first), (q, stop - 1)) if d == 1 else
+                ((first + q, first), (stop - 1 + q, stop - 1)) if d == 2 else
+                ((first, q), (stop - 1, q)) for q, (first, stop) in extents.items()}
+        corners = [end for pair in ends.values() for end in pair] or [(0, 0)]
+        l0, t0 = min(L for L, _ in corners), min(t for _, t in corners)
+        width = max(t for _, t in corners) - t0 + 1
+        step = (1, width + 1, width)[d - 1]
+        grid = bytearray([NO_COLOR]) * ((max(L for L, _ in corners) - l0 + 1) * width)
+        cut = {}
+        for q, (first, stop) in extents.items():
+            (L, t), _ = ends[q]
+            start = (L - l0) * width + t - t0
+            cut[q] = slice(start, start + step * (stop - first - 1) + 1, step)
+        if rows is not None:
+            for q, (_, row) in rows[d - 1].items():
+                grid[cut[q]] = row
+        for i in range(0, len(grid), width):
+            L = l0 + i // width
+            cells = line_fn(d, 3 * L - 2 if d == 2 else 1 - 3 * L, t0, grid[i:i + width])
+            if cells is not None:
+                grid[i:i + width] = cells
+        out.append({q: (first, bytes(grid[cut[q]])) for q, (first, _) in extents.items()})
+    return tuple(out)
+
+
+def _paint(seq: FoldingSequence, region: Region) -> WindowColors:
+    """The closed form on every segment of the window, a line at a time.
+
+    A line is one layer k, and its layer-triangle orientations repeat
+    with period 2^k along it, so layer_kernel runs once per line on one
+    period of midpoints and the period is tiled.  Layers the sequence
+    does not define stay NO_COLOR.
+    """
+    palette: dict[int, Optional[bytes]] = {}
+
+    def paint(d: int, v: int, t0: int, cells: bytearray) -> Optional[bytes]:
+        k = v2(v) + 1
+        if k not in palette:
+            palette[k] = (bytes(COLOR_CODES[c] for c in _layer_colors(seq, k))
+                          if seq.defined_through(k) else None)
+        codes = palette[k]
+        if codes is None:
+            return None
+        n = len(cells)
+        period, m = min(1 << k, n), -1 - 6 * t0
+        _, positive = layer_kernel(d, v, range(m, m - 6 * period, -6))
+        return (bytes(codes[b] for b in positive) * (n // period + 1))[:n]
+
+    return WindowColors(region, through_lines(region, None, paint))
 
 
 def patch(seq: FoldingSequence, k: int) -> PatternPatch:
     """Pattern inside the side-2^k triangle centered at O.
 
-    Interior segments are always colored, one grid line at a time; the
-    boundary (layer k+1) is colored too when a_{k+1} is defined, and
-    stays flagged either way.
+    Interior segments are always colored; the boundary (layer k+1) is
+    colored too when a_{k+1} is defined, and stays flagged either way.
     """
     if not seq.defined_through(k):
         raise OutOfRegion(f"need {k} folds, sequence has {len(seq.word)}")
     region = standard_region(k)
-    lines = region.iter_interior_lines()
-    if seq.defined_through(k + 1):
-        lines = chain(lines, region.iter_boundary_lines())
-    return PatternPatch(region, _paint(seq, lines))
+    return PatternPatch(region, _paint(seq, region))
 
 
 def ball_patch(seq: FoldingSequence, radius: int) -> PatternPatch:
     """Pattern on the radius-R ball at O (all segments colorable)."""
     region = BallRegion(radius)
-    lines = list(region.iter_interior_lines())
-    if seq.finite:  # the shell is convex: each line's end segments decide
+    if seq.finite:  # the shell is convex: each row's end segments decide
         shell = standard_region(len(seq.word))
-        if not all(shell.contains_interior(segs[0]) and shell.contains_interior(segs[-1])
-                   for _, _, segs, _ in lines):
-            raise OutOfRegion(
-                f"radius-{radius} ball exceeds the side-2^{len(seq.word)} patch")
-    return PatternPatch(region, _paint(seq, lines))
+        for d, extents in enumerate(region.segment_rows(), start=1):
+            for q, (first, stop) in extents.items():
+                if not (shell.contains_interior(Seg(d, first, q))
+                        and shell.contains_interior(Seg(d, stop - 1, q))):
+                    raise OutOfRegion(
+                        f"radius-{radius} ball exceeds the side-2^{len(seq.word)} patch")
+    return PatternPatch(region, _paint(seq, region))
 
 
 def recolor(p: PatternPatch, seq: FoldingSequence, to: FoldingSequence) -> PatternPatch:
@@ -224,22 +470,34 @@ def recolor(p: PatternPatch, seq: FoldingSequence, to: FoldingSequence) -> Patte
         if any(seq.a(k) != to.a(k) for k in range(1, period + 1)):
             raise IncompatibleSequences(
                 f"{seq} and {to} differ in infinitely many folds")
-    colors = {}
-    for seg, col in p.colors.items():
-        k = layer_of(seg)
+    def retarget(d: int, v: int, t0: int, cells: bytearray) -> Optional[bytes]:
+        if cells.count(NO_COLOR) == len(cells):
+            return None
+        k = v2(v) + 1
         if not to.defined_through(k):
-            continue
+            return cells.translate(UNCOLOR)
         if not seq.defined_through(k):
             raise OutOfRegion(f"layer {k} exceeds source sequence {seq}")
-        colors[seg] = col if seq.a(k) == to.a(k) else col.swapped
-    return PatternPatch(p.region, colors)
+        return cells.translate(SWAP) if seq.a(k) != to.a(k) else None
+
+    rows = through_lines(p.region, p.colors.rows, retarget)
+    return PatternPatch(p.region, WindowColors(p.region, rows))
 
 
 def interior_mismatches(a: PatternPatch, b: PatternPatch) -> list[Seg]:
     """Segments colored in both interiors that disagree, plus any
     segment interior-colored in exactly one of the two patches."""
-    left = a.interior_colors()
-    right = b.interior_colors()
-    bad = [s for s, c in left.items() if s in right and right[s] is not c]
-    bad.extend(s for s in left.keys() ^ right.keys())
+    bad = []
+    for d, (left, right) in enumerate(zip(a.colors.interior(), b.colors.interior()), start=1):
+        for q in left.keys() | right.keys():
+            x, y = left.get(q), right.get(q)
+            if x == y:
+                continue
+            x, y = x or (0, b""), y or (0, b"")
+            for p in range(min(x[0], y[0]), max(x[0] + len(x[1]), y[0] + len(y[1]))):
+                i, j = p - x[0], p - y[0]
+                cx = x[1][i] if 0 <= i < len(x[1]) else NO_COLOR
+                cy = y[1][j] if 0 <= j < len(y[1]) else NO_COLOR
+                if cx != cy:
+                    bad.append(Seg(d, p, q))
     return sorted(bad)

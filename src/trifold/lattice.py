@@ -15,7 +15,8 @@ a layer-k line is the side of exactly one layer-k triangle.
 
 ``layer_kernel`` is the one implementation of the layer rule: given a
 line and the doubled midpoints of segments along it, it returns the
-layer and, per segment, the orientation of its layer triangle.
+layer and, per midpoint, the orientation of its layer triangle.  The
+painter calls it once per line, on one period of midpoints;
 ``layer_data`` is its one-segment form.
 
 Every window is its vertex extents along grid lines: ``line_extents``
@@ -24,8 +25,12 @@ inside being t = first..last with f_j = 1 - 3t (t = p, or q if d = 3).
 On a triangle they are linear in the side values.  On a radius-r ball,
 12|x|^2 = (2/3)(f1^2 + f2^2 + f3^2) puts the vertex with f_j = g inside
 iff (2g + v)^2 + 3v^2 <= 36r^2: one isqrt per line, in any direction.
-``line_segments`` builds each line's segments and ``tile_anchors`` the
-unit tiles from these extents, for both window types.
+``line_segments`` builds each line's segments from these extents.
+
+Pattern windows are stored by anchor row: ``segment_rows`` turns the
+extents into, per direction d, the anchors p = first..stop-1 of the
+window's segments Seg(d, p, q) on each row q, and ``tile_rows`` gives
+the unit tiles row by row from those.
 
 All geometry below is integer arithmetic on these values; floats appear
 only in the rendering helpers.
@@ -358,20 +363,52 @@ def line_segments(d: int, v: int, first: int, last: int) -> tuple[int, int, list
     return d, v, segs, range(-1 - 6 * first, -1 - 6 * last, -6)
 
 
-def tile_anchors(extents: Iterable[tuple[int, int, int, int]]) -> Iterator[tuple[int, int, int]]:
-    """(orientation, p, q) of the unit tiles on the extents' rows (d = 1).
+def segment_rows(extents: Iterable[tuple[int, int, int, int]]
+                 ) -> tuple[dict[int, tuple[int, int]], ...]:
+    """Per direction d, {q: (first, stop)}: the window's segments Seg(d, p, q)
+    on anchor row q are p = first..stop-1, those with both ends inside.
 
-    A positive tile at (p, q) needs p and p+1 on row q and p on row
-    q+1; a negative one needs p and p+1 on row q and p+1 on row q-1.
+    Everything follows from the vertex extents of the direction-1 lines
+    (the rows): Seg(1, p, q) needs p and p+1 on row q, Seg(2, p, q)
+    needs p on row q and p+1 on row q-1, Seg(3, p, q) needs p on rows q
+    and q+1.  Rows without segments are left out.
     """
-    rows = {(1 - v) // 3: (a, b) for d, v, a, b in extents if d == 1}
-    for q, (a, b) in rows.items():
-        a1, b1 = rows.get(q + 1, (0, -1))
-        for p in range(max(a, a1), min(b - 1, b1) + 1):
-            yield POSITIVE, p, q
-        a0, b0 = rows.get(q - 1, (0, -1))
-        for p in range(max(a, a0 - 1), min(b, b0)):
-            yield NEGATIVE, p, q
+    verts = {(1 - v) // 3: (a, b + 1) for d, v, a, b in extents if d == 1}
+    rows: tuple[dict[int, tuple[int, int]], ...] = ({}, {}, {})
+    for q in sorted(verts):
+        a, b = verts[q]
+        below, above = verts.get(q - 1), verts.get(q + 1)
+        spans = [(a, b - 1), None, None]
+        if below is not None:
+            spans[1] = (max(a, below[0] - 1), min(b, below[1] - 1))
+        if above is not None:
+            spans[2] = (max(a, above[0]), min(b, above[1]))
+        for out, span in zip(rows, spans):
+            if span is not None and span[0] < span[1]:
+                out[q] = span
+    return rows
+
+
+def tile_rows(rows: tuple[dict[int, tuple[int, int]], ...]
+              ) -> Iterator[tuple[int, int, int, int]]:
+    """(orientation, q, first, stop) for the unit tiles anchored at
+    p = first..stop-1 on row q, given ``segment_rows``.
+
+    A positive tile at (p, q) is there when Seg(1, p, q) and Seg(3, p, q)
+    are; a negative one when Seg(1, p, q) and Seg(2, p, q) are.
+    """
+    r1, r2, r3 = rows
+    for q, (f1, t1) in r1.items():
+        for o, side in ((POSITIVE, r3.get(q)), (NEGATIVE, r2.get(q))):
+            if side is not None and max(f1, side[0]) < min(t1, side[1]):
+                yield o, q, max(f1, side[0]), min(t1, side[1])
+
+
+def tile_anchors(extents: Iterable[tuple[int, int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    """(orientation, p, q) of the unit tiles on the extents' rows."""
+    for o, q, first, stop in tile_rows(segment_rows(extents)):
+        for p in range(first, stop):
+            yield o, p, q
 
 
 class TriRegion(NamedTuple):
@@ -447,6 +484,14 @@ class TriRegion(NamedTuple):
         """(orientation, p, q) of every unit triangle in the window."""
         return tile_anchors(self.line_extents())
 
+    def segment_rows(self) -> tuple[dict[int, tuple[int, int]], ...]:
+        return segment_rows(self.line_extents())
+
+    def side_anchors(self) -> tuple[int, int, int]:
+        """(q1, c2, p3): the boundary is anchor row q1 in direction 1, the
+        anchors with p + q = c2 in direction 2 and column p3 in direction 3."""
+        return (1 - self.w1) // 3, (self.w2 + 2) // 3, (1 - self.w3) // 3
+
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.side * self.side >= 12 * r * r
 
@@ -504,6 +549,13 @@ class BallRegion(NamedTuple):
 
     def iter_tile_anchors(self) -> Iterator[tuple[int, int, int]]:
         return tile_anchors(self.line_extents())
+
+    def segment_rows(self) -> tuple[dict[int, tuple[int, int]], ...]:
+        return segment_rows(self.line_extents())
+
+    def side_anchors(self) -> None:
+        """A ball has no sides."""
+        return None
 
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.radius >= r

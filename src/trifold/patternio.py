@@ -1,21 +1,27 @@
 """Deterministic text serialization and SVG rendering.
 
 Pattern files carry one ``d p q color`` record per segment, sorted by
-(d, p, q), with the records of the region's boundary flagged ``*``;
-the reader rejects records off the region's line extents and flags
-that differ from the boundary its region header gives.  Tiling files
-carry ``orient p q red_count [slot]`` records, each a tile of the
-region when a header names one.  Serialization is canonical, so
-read/write round trips are byte identical.  Floats appear only in the
-SVG emitter, at a fixed four decimal places.
+(d, p, q), with the records of the region's boundary flagged ``*``.
+The writer reads the window store column by column, which is that
+order, behind one ``"d p "`` prefix per column, and takes the flags
+from the region's closed-form sides.  The reader fills the store
+directly: it rejects records off the region's row extents, records
+that repeat an earlier one, and flags that differ from the boundary its
+region header gives.  Tiling files carry ``orient p q red_count
+[slot]`` records, each a tile of the region when a header names one and
+none repeated.  Serialization is canonical, so read/write round trips
+are byte identical.  Floats appear only in the SVG emitter, at a fixed
+four decimal places; segment coordinates come from integer positions,
+one text per x value and per row.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import getitem
+from typing import Iterable, Iterator
 
 from .errors import ParseError
-from .folding import Color, PatternPatch
+from .folding import BLUE_CODE, NO_COLOR, RED_CODE, Color, PatternPatch, WindowColors
 from .lattice import (
     NEGATIVE,
     POSITIVE,
@@ -24,6 +30,7 @@ from .lattice import (
     Seg,
     TriRegion,
     Triangle,
+    Vertex,
     standard_region,
 )
 from .tiling import DecoratedTile
@@ -65,15 +72,76 @@ def _parse_region(parts: list[str], line_no: int) -> Region:
     raise ParseError(f"bad region {' '.join(parts)!r}", line_no)
 
 
+#: Extra byte codes the text formats use beside the store's: a boundary
+#: segment's code plus BOUNDARY, the reader's not-yet-read byte, and the
+#: padding of ``_columns``.
+BOUNDARY = 3
+UNREAD = 3
+ABSENT = 6
+_FLAG = bytes(c + BOUNDARY if c <= NO_COLOR else c for c in range(256))
+_READ = bytes(NO_COLOR if c == UNREAD else c for c in range(256))
+#: Record text after "d p q", by code; the writer's two passes keep the
+#: colored codes, then the unknown boundary one.
+_RECORD_TAILS = (" blue", " red", "", " blue *", " red *", " unknown *", "")
+_COLORED_PASS = bytes(c if c in (BLUE_CODE, RED_CODE, BLUE_CODE + BOUNDARY, RED_CODE + BOUNDARY)
+                      else ABSENT for c in range(256))
+_UNKNOWN_PASS = bytes(c if c == NO_COLOR + BOUNDARY else ABSENT for c in range(256))
+_CODES = {Color.BLUE.value: BLUE_CODE, Color.RED.value: RED_CODE}
+
+
+def _columns(by_q: dict[int, tuple[int, bytes]]
+             ) -> tuple[list[int], Iterator[tuple[int, int, bytes]]]:
+    """(qs, columns) for one direction's rows: qs in increasing order, and
+    (p, i, codes) per column p in increasing p, codes[j] being the byte
+    of the segment at (p, qs[i + j]), or ABSENT.  The rows are padded to
+    a common span, the columns read off with extended slices and the
+    padding at their ends stripped."""
+    qs = sorted(by_q)
+    if not qs:
+        return qs, iter(())
+    lo = min(first for first, _ in by_q.values())
+    hi = max(first + len(row) for first, row in by_q.values())
+    width = hi - lo
+    pad = bytes([ABSENT])
+    grid = b"".join(pad * (by_q[q][0] - lo) + by_q[q][1] + pad * (hi - by_q[q][0] - len(by_q[q][1]))
+                    for q in qs)
+
+    def columns():
+        for j in range(width):
+            column = grid[j::width]
+            codes = column.lstrip(pad)
+            yield lo + j, len(column) - len(codes), codes.rstrip(pad)
+
+    return qs, columns()
+
+
 def write_pattern(patch: PatternPatch, seq: str = "") -> str:
-    lines = [PATTERN_MAGIC, f"seq {seq}", _region_header(patch.region)]
-    boundary = patch.boundary
-    for seg in sorted(patch.colors):
-        flag = " *" if seg in boundary else ""
-        lines.append(f"{seg.d} {seg.p} {seg.q} {patch.colors[seg].value}{flag}")
-    for seg in sorted(s for s in boundary if s not in patch.colors):
-        lines.append(f"{seg.d} {seg.p} {seg.q} unknown *")
-    return "\n".join(lines) + "\n"
+    """The colored records in (d, p, q) order, then the uncolored
+    boundary records, also in that order.
+
+    A column's records are its rows' texts picked by code, so one
+    column is one join behind its shared ``"d p "`` prefix; each pass
+    first turns the codes it does not write into ABSENT, whose text is
+    empty.
+    """
+    chunks = [f"{PATTERN_MAGIC}\nseq {seq}\n{_region_header(patch.region)}\n"]
+    directions = []
+    for d, by_q in enumerate(patch.colors.on_sides(_FLAG), start=1):
+        qs, columns = _columns(by_q)
+        texts = [tuple(tail and f"{q}{tail}" for tail in _RECORD_TAILS) for q in qs]
+        directions.append((d, texts, list(columns)))
+    for only in (_COLORED_PASS, _UNKNOWN_PASS):
+        for d, texts, columns in directions:
+            for p, i, codes in columns:
+                codes = codes.translate(only)
+                absent = codes.count(ABSENT)
+                if absent == len(codes):
+                    continue
+                prefix = f"{d} {p} "
+                records = map(getitem, texts[i:i + len(codes)], codes)
+                chunks += (prefix, ("\n" + prefix).join(filter(None, records) if absent else records),
+                           "\n")
+    return "".join(chunks)
 
 
 def read_pattern(text: str) -> tuple[PatternPatch, str]:
@@ -84,13 +152,16 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
         raise ParseError("missing seq header", 2)
     seq = lines[1][4:]
     region = _parse_region(lines[2].split(), 3)
-    extents = {(d, v): range(a, b) for d, v, a, b in region.line_extents()}
-    colors: dict[Seg, Color] = {}
-    flagged: dict[Seg, int] = {}
+    rows = tuple({q: (first, bytearray(bytes([UNREAD]) * (stop - first)))
+                  for q, (first, stop) in extents.items()}
+                 for extents in region.segment_rows())
+    sides = region.side_anchors()
+    flagged: set[Seg] = set()  # boundary segments with a flagged record
+    stray: tuple[Seg, int] | None = None  # the first flag off the boundary
     for no, raw in enumerate(lines[3:], start=4):
-        if not raw.strip():
-            continue
         parts = raw.split()
+        if not parts:
+            continue
         if len(parts) not in (4, 5):
             raise ParseError(f"bad record {raw!r}", no)
         try:
@@ -99,32 +170,38 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
             raise ParseError(f"bad segment id in {raw!r}", no) from None
         if d not in (1, 2, 3):
             raise ParseError(f"bad direction {d}", no)
-        seg = Seg(d, p, q)
-        # line_of(seg), inlined: this runs once per record
-        v = 1 - 3 * q if d == 1 else 3 * (p + q) - 2 if d == 2 else 1 - 3 * p
-        if (q if d == 3 else p) not in extents.get((d, v), ()):
-            raise ParseError(f"{seg} is outside the region", no)
+        entry = rows[d - 1].get(q)
+        if entry is None or not 0 <= p - entry[0] < len(entry[1]):
+            raise ParseError(f"{Seg(d, p, q)} is outside the region", no)
         if len(parts) == 5:
             if parts[4] != "*":
                 raise ParseError(f"bad flag {parts[4]!r}", no)
-            flagged[seg] = no
-        if parts[3] == "unknown":
+            if sides is not None and (q == sides[0] if d == 1 else
+                                      p + q == sides[1] if d == 2 else p == sides[2]):
+                flagged.add(Seg(d, p, q))
+            elif stray is None:
+                stray = (Seg(d, p, q), no)
+        code = _CODES.get(parts[3])
+        if code is None:
+            if parts[3] != "unknown":
+                raise ParseError(f"bad color {parts[3]!r}", no)
             if len(parts) != 5:
                 raise ParseError("unknown color only allowed on boundary", no)
-            continue
-        try:
-            colors[seg] = Color(parts[3])
-        except ValueError:
-            raise ParseError(f"bad color {parts[3]!r}", no) from None
-    patch = PatternPatch(region, colors)
-    boundary = patch.boundary
-    if flagged.keys() != boundary:
-        for seg, no in flagged.items():
-            if seg not in boundary:
-                raise ParseError(f"{seg} is flagged but not on the boundary", no)
-        seg = min(boundary - flagged.keys())
+            code = NO_COLOR
+        first, row = entry
+        if row[p - first] != UNREAD:
+            raise ParseError(f"{Seg(d, p, q)} repeats an earlier record", no)
+        row[p - first] = code
+    if stray is not None:
+        raise ParseError(f"{stray[0]} is flagged but not on the boundary", stray[1])
+    # duplicates are refused, so every side segment is flagged once iff
+    # the count is right
+    if sides is not None and len(flagged) != 3 * region.side:
+        seg = min(s for s in region.iter_boundary_segments() if s not in flagged)
         raise ParseError(f"boundary segment {seg} has no flagged record", 3)
-    return patch, seq
+    store = tuple({q: (first, bytes(row.translate(_READ))) for q, (first, row) in r.items()}
+                  for r in rows)
+    return PatternPatch(region, WindowColors(region, store)), seq
 
 
 def write_tiling(window: Iterable[DecoratedTile], seq: str = "",
@@ -177,6 +254,8 @@ def read_tiling(text: str) -> tuple[dict[Triangle, DecoratedTile], str]:
         if anchors is not None and anchor not in anchors:
             raise ParseError(f"tile {raw!r} is outside the region", no)
         tri = Triangle.unit_from_anchor(*anchor)
+        if tri in window:
+            raise ParseError(f"tile {parts[0]} {p} {q} repeats an earlier record", no)
         window[tri] = DecoratedTile(tri, count, slot)
     return window, seq
 
@@ -200,21 +279,43 @@ def _svg_document(body: list[str], xs: list[float], ys: list[float]) -> str:
 
 
 def render_svg(patch: PatternPatch) -> str:
-    """Interior segments as colored strokes; deterministic element order."""
-    body = []
+    """Interior segments as colored strokes, in (d, p, q) order.
+
+    A vertex (p, q) sits at x = 12 (2p + q - 1), y = -(3q - 1) sqrt(3) / 6
+    scaled, so the coordinate texts are made once per value of 2p + q - 1
+    and once per row q, each from Vertex.xy.
+    """
+    rows = patch.colors.interior()
+    spans = [(2 * first + q - 1, 2 * (first + len(row)) + q + 1, q)
+             for by_q in rows for q, (first, row) in by_q.items()]
+    n0 = min((s[0] for s in spans), default=0)
+    q0 = min((s[2] for s in spans), default=0) - 1
+    x_at = [Vertex(0, n + 1).xy()[0] * SCALE
+            for n in range(n0, max((s[1] for s in spans), default=0))]
+    y_at = [-Vertex(0, q).xy()[1] * SCALE
+            for q in range(q0, max((s[2] for s in spans), default=0) + 2)]
+    x_text, y_text = [_fmt(x) for x in x_at], [_fmt(y) for y in y_at]
+    tails = [f'" stroke="{hexcol}" stroke-width="{_fmt(STROKE_WIDTH)}" stroke-linecap="round"/>'
+             for hexcol in (BLUE_HEX, RED_HEX)]
+    body: list[str] = []
     xs: list[float] = []
     ys: list[float] = []
-    for seg, col in sorted(patch.interior_items()):
-        a, b = seg.endpoints()
-        (ax, ay), (bx, by) = a.xy(), b.xy()
-        pts = [ax * SCALE, -ay * SCALE, bx * SCALE, -by * SCALE]
-        xs.extend(pts[0::2])
-        ys.extend(pts[1::2])
-        hexcol = RED_HEX if col is Color.RED else BLUE_HEX
-        body.append(f'<line x1="{_fmt(pts[0])}" y1="{_fmt(pts[1])}" '
-                    f'x2="{_fmt(pts[2])}" y2="{_fmt(pts[3])}" '
-                    f'stroke="{hexcol}" stroke-width="{_fmt(STROKE_WIDTH)}" '
-                    f'stroke-linecap="round"/>')
+    # second endpoint: (p+1, q), (p+1, q-1) or (p, q+1)
+    for (dn, dq), by_q in zip(((2, 0), (1, -1), (1, 1)), rows):
+        qs, columns = _columns(by_q)
+        for p, i, codes in columns:
+            kept = [(q, c) for q, c in zip(qs[i:], codes) if c < NO_COLOR]
+            if not kept:
+                continue
+            base = 2 * p - 1 - n0
+            body += [f'<line x1="{x_text[base + q]}" y1="{y_text[q - q0]}" '
+                     f'x2="{x_text[base + q + dn]}" y2="{y_text[q + dq - q0]}{tails[c]}'
+                     for q, c in kept]
+            # x grows with 2p + q and y falls with q: the column's ends
+            # hold its extremes
+            (low, _), (high, _) = kept[0], kept[-1]
+            xs += [x_at[base + low], x_at[base + high + dn]]
+            ys += [y_at[q - q0] for q in (low, low + dq, high, high + dq)]
     return _svg_document(body, xs, ys)
 
 

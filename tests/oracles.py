@@ -6,14 +6,28 @@ right 2-adic valuation and side length, and their boundary segments by
 walking the triangle's corners.  Window segments and unit tiles are
 found by testing every segment or tile in the window's bounding box.
 Matrix products and ranks are taken over plain `Fraction`s, with no
-integer shortcuts.
+integer shortcuts.  Pattern windows are painted into plain dicts one
+segment at a time with `color_of_segment`, and recolored, filtered and
+translated one segment at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from trifold.lattice import NEGATIVE, POSITIVE, Seg, Triangle, TriRegion, Vertex, seg_between
+from trifold.errors import OutOfRegion
+from trifold.folding import Color, FoldingSequence, color_of_segment
+from trifold.lattice import (
+    NEGATIVE,
+    POSITIVE,
+    Seg,
+    Triangle,
+    TriRegion,
+    Vertex,
+    layer_of,
+    seg_between,
+    unit_tile_segments,
+)
 
 
 def v2_slow(n: int) -> int:
@@ -161,3 +175,63 @@ def fraction_rank(rows) -> int:
                     m[r][c] -= factor * m[rank][c]
         rank += 1
     return rank
+
+
+def dict_pattern(seq: FoldingSequence, region) -> dict[Seg, Color]:
+    """The closed form as a plain dict: `color_of_segment` on every
+    interior segment of the region, and on every boundary segment it
+    answers for (a finite word leaves its own patch's boundary out)."""
+    colors = {s: color_of_segment(seq, s) for s in region.iter_interior_segments()}
+    for seg in region.iter_boundary_segments():
+        try:
+            colors[seg] = color_of_segment(seq, seg)
+        except OutOfRegion:
+            pass
+    return colors
+
+
+def dict_recolor(colors, seq: FoldingSequence, to: FoldingSequence) -> dict[Seg, Color]:
+    """Flip each segment whose layer's fold differs; drop layers ``to``
+    does not define."""
+    return {s: c if seq.a(layer_of(s)) == to.a(layer_of(s)) else c.swapped
+            for s, c in colors.items() if to.defined_through(layer_of(s))}
+
+
+def dict_filter_layer(colors, k: int) -> dict[Seg, Color]:
+    return {s: c for s, c in colors.items() if layer_of(s) == k}
+
+
+def dict_translate(colors, a: int, b: int) -> dict[Seg, Color]:
+    return {Seg(s.d, s.p + a, s.q + b): c for s, c in colors.items()}
+
+
+def tiles_by_lookup(colors, anchors) -> dict[tuple[int, int, int], tuple[Color, Color, Color]]:
+    """Side colors, by direction, of each tile anchor whose three sides
+    are all colored, looked up one segment at a time."""
+    out = {}
+    for o, p, q in anchors:
+        sides = tuple(colors.get(s) for s in unit_tile_segments(o, p, q))
+        if None not in sides:
+            out[(o, p, q)] = sides
+    return out
+
+
+def dict_mismatches(left: dict, right: dict) -> list[Seg]:
+    """Segments colored differently in two interior dicts, plus those
+    colored in only one of them."""
+    bad = [s for s, c in left.items() if s in right and right[s] is not c]
+    bad.extend(left.keys() ^ right.keys())
+    return sorted(bad)
+
+
+def dict_period_check(interior: dict, max_norm: int) -> list[tuple[int, int]]:
+    """Translations (a, b) of norm <= max_norm under which every colored
+    segment agrees with its colored translate."""
+    out = []
+    for a in range(-max_norm, max_norm + 1):
+        for b in range(-max_norm, max_norm + 1):
+            if (a, b) != (0, 0) and a * a + a * b + b * b <= max_norm * max_norm:
+                if all(interior.get(Seg(s.d, s.p + a, s.q + b), c) is c
+                       for s, c in interior.items()):
+                    out.append((a, b))
+    return out

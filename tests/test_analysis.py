@@ -8,7 +8,6 @@ from trifold.analysis import (
     disallowed_stars,
     empirical_densities,
     filter_layer,
-    incident_segments,
     layer_block_check,
     period_check,
     star_allowed,
@@ -18,7 +17,7 @@ from trifold.analysis import (
 )
 from trifold.errors import WindowTooSmall
 from trifold.folding import Color, FoldingSequence, PatternPatch, ball_patch, patch
-from trifold.lattice import BallRegion, Seg, Vertex
+from trifold.lattice import BallRegion, Seg, Vertex, incident_segments
 from trifold.spectral import word_matrix
 
 ALL_UP = FoldingSequence.parse("(+)*")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -191,6 +193,42 @@ def test_files_contradicting_their_region_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "render", "--in", str(stray), "--svg", str(tmp_path / "s.svg"))
     assert code == 2 and "error:" in err
     assert not (tmp_path / "s.svg").exists()
+
+
+def test_repeated_records_exit_two(tmp_path, capsys):
+    pat, lines = _tiling_inputs(tmp_path, capsys)
+    text = pat.read_text()
+    first = text.splitlines()[3]
+    twice = tmp_path / "twice.pat"
+    twice.write_text(text + first + "\n")
+    code, _, err = run(capsys, "render", "--in", str(twice), "--svg", str(tmp_path / "t.svg"))
+    assert code == 2 and "repeats an earlier record" in err
+    assert not (tmp_path / "t.svg").exists()
+
+    tile = next(ln for ln in lines[3:] if ln.split()[3] == "3")
+    kind, p, q, _ = tile.split()
+    til = tmp_path / "twice.til"
+    til.write_text("\n".join([*lines, f"{kind} {p} {q} 0"]) + "\n")
+    code, out, err = run(capsys, "reconstruct", "--in", str(til), "--ref", str(pat))
+    assert code == 2 and "reconstructed" not in out
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
+def test_window_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    # tests/data/window_cli.json: exit code, stdout and sha256 of every
+    # written file for generate, render, stars and period, run in order
+    # in one directory
+    cases = json.loads((Path(__file__).parent / "data" / "window_cli.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    for case in cases:
+        code, out, _ = run(capsys, *case["command"].split())
+        assert (code, out) == (case["exit"], case["stdout"]), case["command"]
+        for name, digest in case["files"].items():
+            assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, case["command"]
+    # the finite word's file in full: its boundary records are unknown
+    pinned = (Path(__file__).parent / "data" / "finite_+-+.pat").read_text()
+    assert Path("finite.pat").read_text() == pinned
+    assert pinned.endswith("3 3 2 unknown *\n")
 
 
 def _pinned_outputs():

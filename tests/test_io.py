@@ -116,6 +116,37 @@ def test_pattern_region_check_follows_line_extents():
                         read_pattern(text + f"{near.d} {near.p} {near.q} red\n")
 
 
+def test_pattern_rejects_repeated_records():
+    lines = write_pattern(patch(FoldingSequence.parse("(+)*"), 2), "(+)*").splitlines()
+    at = lines.index("1 -1 -1 red *")
+    for extra in ("1 -1 -1 blue", "1 -1 -1 red *"):
+        repeated = lines[:at + 1] + [extra] + lines[at + 1:]
+        with pytest.raises(ParseError) as info:
+            read_pattern("\n".join(repeated) + "\n")
+        assert info.value.line == at + 2
+    for extra in (lines[-1], lines[5]):
+        with pytest.raises(ParseError) as info:
+            read_pattern("\n".join(lines + [extra]) + "\n")
+        assert info.value.line == len(lines) + 1
+    unknown = write_pattern(patch(FoldingSequence("++"), 2), "++").splitlines()
+    with pytest.raises(ParseError) as info:
+        read_pattern("\n".join(unknown + [unknown[-1]]) + "\n")
+    assert info.value.line == len(unknown) + 1
+
+
+def test_tiling_rejects_repeated_tiles():
+    p = ball_patch(FoldingSequence.parse("(+)*"), 6)
+    lines = write_tiling(to_tiling(p), "(+)*", p.region).splitlines()
+    assert "P -4 2 3" in lines
+    for extra in ("P -4 2 0", "P -4 2 3"):
+        with pytest.raises(ParseError) as info:
+            read_tiling("\n".join([*lines, extra]) + "\n")
+        assert info.value.line == len(lines) + 1
+    # without a region header too
+    with pytest.raises(ParseError):
+        read_tiling("trifold-tiling v1\nseq x\nP 0 0 3\nP 0 0 0\n")
+
+
 def test_tiling_rejects_bad_region_and_outside_tiles():
     p = ball_patch(FoldingSequence.parse("(+)*"), 4)
     text = write_tiling(to_tiling(p), "(+)*", p.region)
