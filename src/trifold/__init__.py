@@ -30,12 +30,8 @@ from .lattice import (
     Triangle,
     TriRegion,
     Vertex,
-    adjacent_unit_triangles,
     layer_of,
-    layer_triangle_of,
-    layer_triangle_orientation,
     line_of,
-    reflect,
     standard_region,
 )
 from .substitution import (

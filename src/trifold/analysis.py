@@ -1,9 +1,9 @@
 """Property measurements on generated pattern windows.
 
-All statistics exclude flagged boundary data; frequencies are exact
-rationals.  Star words are read counterclockwise from the rightward
-segment and compared up to rotation by multiples of 2*pi/3, i.e.
-cyclic shifts by two positions.
+All statistics exclude flagged boundary data and are exact counts.
+Star words are read counterclockwise from the rightward segment and
+compared up to rotation by multiples of 2*pi/3, i.e. cyclic shifts by
+two positions.
 
 The measurements work on the window store's rows: a vertex star is a
 6-bit code from six shifted rows, a tile a byte code from its three
@@ -14,7 +14,6 @@ layer is a set of whole grid lines.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .errors import WindowTooSmall
@@ -128,15 +127,6 @@ def tile_class_counts(patch: PatternPatch) -> tuple[int, ...]:
     for (o, reds, _), n in decorated_type_counts(patch).items():
         counts[class_index(o, reds)] += n
     return tuple(counts)
-
-
-def empirical_densities(patch: PatternPatch) -> tuple[Fraction, ...]:
-    """Exact per-class frequencies among fully colored tiles."""
-    counts = tile_class_counts(patch)
-    total = sum(counts)
-    if total == 0:
-        raise WindowTooSmall("no fully colored tiles in window")
-    return tuple(Fraction(c, total) for c in counts)
 
 
 def period_check(patch: PatternPatch, max_norm: int) -> list[tuple[int, int]]:

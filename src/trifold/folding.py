@@ -10,17 +10,19 @@ holds.  Working per segment makes the generator a pure function, so a
 window of any shape can be produced directly; ``color_of_segment`` is
 that one-segment form.
 
-A window keeps its colors in a ``WindowColors`` store: per direction,
-one byte string per anchor row q with the row's first p, a byte per
-segment (0 blue, 1 red, 2 no color), read through the
-``Mapping[Seg, Color]`` interface.  ``patch`` and ``ball_patch`` paint
-the store a grid line at a time: a line is one layer k, and its colors
-repeat with period 2^k, so ``layer_kernel`` runs once per line and the
-line is one tiled write; the store's rows are extended slices across
-the lines.  Tile codes, interior rows and mismatches are whole-row
-byte operations.  The unfolder and the substituter hand their dicts to
-the same store through the ``PatternPatch`` constructor and never meet
-the paint rule.
+A window keeps its colors in a ``WindowColors`` store laid out by the
+region's ``segment_rows``: per direction, one byte string per anchor
+row q with the row's first p, a byte per segment (0 blue, 1 red, 2 no
+color), read through the ``Mapping[Seg, Color]`` interface; the
+region's ``side_rows`` pick out its boundary bytes.  ``patch`` and
+``ball_patch`` paint the store a grid line at a time: ``through_lines``
+lays the rows out one grid line per grid row, a line is one layer k,
+and its colors repeat with period 2^k, so ``layer_kernel`` runs once
+per line on one period of midpoints and the line is one tiled write.
+Tile codes, interior rows and mismatches are whole-row byte
+operations.  The unfolder and the substituter hand their dicts to the
+same store through the ``PatternPatch`` constructor and never meet the
+paint rule.
 """
 
 from __future__ import annotations
@@ -237,23 +239,16 @@ class WindowColors(Mapping):
 
     def on_sides(self, table: bytes) -> Rows:
         """The rows with every boundary byte passed through ``table``."""
-        sides = self.region.side_anchors()
-        if sides is None:
+        sides = self.region.side_rows()
+        if not any(sides):
             return self.rows
-        q1, c2, p3 = sides
-        out = []
-        for d, rows in enumerate(self.rows, start=1):
-            new = dict(rows)
-            for q, (first, row) in rows.items():
-                if d == 1:
-                    if q == q1:
-                        new[q] = (first, row.translate(table))
-                    continue
-                i = (c2 - q if d == 2 else p3) - first
-                if 0 <= i < len(row):
-                    new[q] = (first, row[:i] + row[i:i + 1].translate(table) + row[i + 1:])
-            out.append(new)
-        return tuple(out)
+        out = tuple(dict(rows) for rows in self.rows)
+        for new, spans in zip(out, sides):
+            for q, (lo, hi) in spans.items():
+                first, row = new[q]
+                i, j = lo - first, hi - first
+                new[q] = (first, row[:i] + row[i:j].translate(table) + row[j:])
+        return out
 
     def tile_codes(self) -> Iterator[tuple[int, int, int, bytes]]:
         """(orientation, q, first, codes) per row of unit tiles: byte i is
@@ -326,9 +321,6 @@ class PatternPatch:
 
     def interior_colors(self) -> dict[Seg, Color]:
         return dict(self.interior_items())
-
-    def color(self, seg: Seg) -> Optional[Color]:
-        return self.colors.get(seg)
 
     def translate(self, a: int, b: int) -> "PatternPatch":
         if not isinstance(self.region, TriRegion):

@@ -19,18 +19,16 @@ layer and, per midpoint, the orientation of its layer triangle.  The
 painter calls it once per line, on one period of midpoints;
 ``layer_data`` is its one-segment form.
 
-Every window is its vertex extents along grid lines: ``line_extents``
-yields (d, v, first, last) per line {f_d = v} it meets, the vertices
-inside being t = first..last with f_j = 1 - 3t (t = p, or q if d = 3).
-On a triangle they are linear in the side values.  On a radius-r ball,
-12|x|^2 = (2/3)(f1^2 + f2^2 + f3^2) puts the vertex with f_j = g inside
-iff (2g + v)^2 + 3v^2 <= 36r^2: one isqrt per line, in any direction.
-``line_segments`` builds each line's segments from these extents.
-
-Pattern windows are stored by anchor row: ``segment_rows`` turns the
-extents into, per direction d, the anchors p = first..stop-1 of the
-window's segments Seg(d, p, q) on each row q, and ``tile_rows`` gives
-the unit tiles row by row from those.
+Every window is its vertex rows: ``vertex_rows`` gives {q: (first,
+stop)}, the vertices inside being p = first..stop-1 on row q.  On a
+triangle they are linear in the side values.  On a radius-r ball,
+12|x|^2 = 3(2p + q - 1)^2 + (3q - 1)^2 puts (p, q) inside iff
+|6p + 3q - 3| <= isqrt(36r^2 - 3(3q - 1)^2): one isqrt per row.
+``segment_rows`` turns the vertex rows into, per direction d, the
+anchors p = first..stop-1 of the window's segments Seg(d, p, q) on each
+row q; ``side_rows`` gives the anchors on a triangle's side lines in the
+same form, and ``tile_rows`` the unit tiles row by row.  Segments, side
+segments and tiles are all enumerated from these rows.
 
 All geometry below is integer arithmetic on these values; floats appear
 only in the rendering helpers.
@@ -38,7 +36,6 @@ only in the rendering helpers.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -74,20 +71,12 @@ class Vertex(NamedTuple):
         """Cartesian coordinates (rendering only)."""
         return (self.p + self.q / 2 - 0.5, (3 * self.q - 1) * _SQRT3 / 6)
 
-    def norm_sq_times_12(self) -> int:
-        """12 * |vertex|^2, exactly."""
-        return 3 * (2 * self.p + self.q - 1) ** 2 + (3 * self.q - 1) ** 2
-
 
 class Line(NamedTuple):
     """Grid line {x : f_d(x) = v}; grid lines have v = 1 (mod 3)."""
 
     d: int
     v: int
-
-    @property
-    def layer(self) -> int:
-        return v2(self.v) + 1
 
 
 class Seg(NamedTuple):
@@ -177,9 +166,6 @@ class Triangle(NamedTuple):
     def side(self) -> int:
         return abs(self.total) // 3
 
-    def value(self, d: int) -> int:
-        return self[d - 1]
-
     def anchor(self) -> tuple[int, int, int]:
         """(orientation, p, q) for a unit triangle.
 
@@ -226,21 +212,6 @@ def layer_of(seg: Seg) -> int:
     return v2(line_of(seg).v) + 1
 
 
-def adjacent_unit_triangles(seg: Seg) -> tuple[Triangle, Triangle]:
-    """The (positive, negative) unit triangles sharing the segment."""
-    d, p, q = seg
-    if d == 1:
-        pos = Triangle.unit_from_anchor(POSITIVE, p, q)
-        neg = Triangle.unit_from_anchor(NEGATIVE, p, q)
-    elif d == 2:
-        pos = Triangle.unit_from_anchor(POSITIVE, p, q - 1)
-        neg = Triangle.unit_from_anchor(NEGATIVE, p, q)
-    else:
-        pos = Triangle.unit_from_anchor(POSITIVE, p, q)
-        neg = Triangle.unit_from_anchor(NEGATIVE, p - 1, q + 1)
-    return pos, neg
-
-
 def layer_kernel(d: int, v: int, mids: Iterable[int]) -> tuple[int, list[bool]]:
     """The closed-form layer rule along the grid line {f_d = v}.
 
@@ -274,26 +245,7 @@ def layer_data(seg: Seg) -> tuple[int, bool]:
     return k, positive
 
 
-def layer_triangle_orientation(seg: Seg) -> int:
-    """Orientation of the layer-k triangle having seg on its boundary."""
-    return POSITIVE if layer_data(seg)[1] else NEGATIVE
-
-
-def layer_triangle_of(seg: Seg) -> Triangle:
-    """The layer triangle attached to the segment, with its side values:
-    in each other direction, the layer-k value just below the midpoint
-    (negative triangle) or just above it (positive)."""
-    k, positive = layer_data(seg)
-    s = 1 << (k - 1)
-    r = s if k & 1 else -s
-    step = 6 * s
-    mids = seg.doubled_midpoint()
-    vals = [r + step * ((m - 2 * r) // (2 * step) + positive) for m in mids]
-    vals[seg.d - 1] = mids[seg.d - 1] // 2
-    return Triangle(*vals)
-
-
-# -- reflections and dilations -------------------------------------------
+# -- reflections ----------------------------------------------------------
 
 def _reflect_triple(f: tuple[int, int, int], mirror: Line) -> tuple[int, int, int]:
     # Across {f_d = V}: f_d -> 2V - f_d, and the two other functionals
@@ -317,66 +269,23 @@ def reflect_segment(seg: Seg, mirror: Line) -> Seg:
     return seg_between(reflect_vertex(a, mirror), reflect_vertex(b, mirror))
 
 
-def reflect_line(line: Line, mirror: Line) -> Line:
-    d, V = mirror
-    if line.d == d:
-        return Line(d, 2 * V - line.v)
-    (other,) = [i for i in (1, 2, 3) if i != d and i != line.d]
-    return Line(other, -line.v - V)
-
-
-def reflect(obj, mirror: Line):
-    """Mirror image of a vertex, segment or line across a grid line."""
-    if isinstance(obj, Vertex):
-        return reflect_vertex(obj, mirror)
-    if isinstance(obj, Seg):
-        return reflect_segment(obj, mirror)
-    if isinstance(obj, Line):
-        return reflect_line(obj, mirror)
-    raise TypeError(f"cannot reflect {type(obj).__name__}")
-
-
-def dilate(obj, factor: int):
-    """Dilation about O; factor must be 1 (mod 3) to preserve the grid."""
-    if factor % 3 != 1:
-        raise ValueError("grid dilations need factor = 1 (mod 3)")
-    if isinstance(obj, Line):
-        return Line(obj.d, factor * obj.v)
-    if isinstance(obj, Vertex):
-        f = obj.functionals()
-        return Vertex.from_functionals(factor * f[0], factor * f[2])
-    if isinstance(obj, Triangle):
-        return Triangle(factor * obj.v1, factor * obj.v2, factor * obj.v3)
-    if isinstance(obj, Seg):
-        raise TypeError("a dilated unit segment is not a unit segment")
-    raise TypeError(f"cannot dilate {type(obj).__name__}")
-
-
 # -- windows ---------------------------------------------------------------
 
-def line_segments(d: int, v: int, first: int, last: int) -> tuple[int, int, list[Seg], range]:
-    """(d, v, segments, mids) for the segments joining vertices first..last
-    on {f_d = v}; ``mids`` are their doubled f_j, -1 - 6t, for layer_kernel."""
-    c, ts = (v + 2) // 3 if d == 2 else (1 - v) // 3, range(first, last)
-    segs = ([Seg(1, t, c) for t in ts] if d == 1 else
-            [Seg(2, t, c - t) for t in ts] if d == 2 else [Seg(3, c, t) for t in ts])
-    return d, v, segs, range(-1 - 6 * first, -1 - 6 * last, -6)
+#: Per direction d, {q: (first, stop)}: anchors p = first..stop-1 of
+#: segments Seg(d, p, q) on row q, rows in increasing q.
+Spans = tuple[dict[int, tuple[int, int]], ...]
 
 
-def segment_rows(extents: Iterable[tuple[int, int, int, int]]
-                 ) -> tuple[dict[int, tuple[int, int]], ...]:
-    """Per direction d, {q: (first, stop)}: the window's segments Seg(d, p, q)
-    on anchor row q are p = first..stop-1, those with both ends inside.
+def segment_rows(verts: dict[int, tuple[int, int]]) -> Spans:
+    """The window's segments, those with both ends inside, from its
+    vertex rows ``verts`` (vertices p = first..stop-1 on row q).
 
-    Everything follows from the vertex extents of the direction-1 lines
-    (the rows): Seg(1, p, q) needs p and p+1 on row q, Seg(2, p, q)
-    needs p on row q and p+1 on row q-1, Seg(3, p, q) needs p on rows q
-    and q+1.  Rows without segments are left out.
+    Seg(1, p, q) needs p and p+1 on row q, Seg(2, p, q) needs p on row q
+    and p+1 on row q-1, Seg(3, p, q) needs p on rows q and q+1.  Rows
+    without segments are left out.
     """
-    verts = {(1 - v) // 3: (a, b + 1) for d, v, a, b in extents if d == 1}
-    rows: tuple[dict[int, tuple[int, int]], ...] = ({}, {}, {})
-    for q in sorted(verts):
-        a, b = verts[q]
+    rows: Spans = ({}, {}, {})
+    for q, (a, b) in verts.items():
         below, above = verts.get(q - 1), verts.get(q + 1)
         spans = [(a, b - 1), None, None]
         if below is not None:
@@ -389,8 +298,15 @@ def segment_rows(extents: Iterable[tuple[int, int, int, int]]
     return rows
 
 
-def tile_rows(rows: tuple[dict[int, tuple[int, int]], ...]
-              ) -> Iterator[tuple[int, int, int, int]]:
+def row_segments(rows: Spans) -> Iterator[Seg]:
+    """Seg(d, p, q) for every anchor of the rows, in (d, q, p) order."""
+    for d, by_q in enumerate(rows, start=1):
+        for q, (first, stop) in by_q.items():
+            for p in range(first, stop):
+                yield Seg(d, p, q)
+
+
+def tile_rows(rows: Spans) -> Iterator[tuple[int, int, int, int]]:
     """(orientation, q, first, stop) for the unit tiles anchored at
     p = first..stop-1 on row q, given ``segment_rows``.
 
@@ -404,20 +320,14 @@ def tile_rows(rows: tuple[dict[int, tuple[int, int]], ...]
                 yield o, q, max(f1, side[0]), min(t1, side[1])
 
 
-def tile_anchors(extents: Iterable[tuple[int, int, int, int]]) -> Iterator[tuple[int, int, int]]:
-    """(orientation, p, q) of the unit tiles on the extents' rows."""
-    for o, q, first, stop in tile_rows(segment_rows(extents)):
-        for p in range(first, stop):
-            yield o, p, q
-
-
 class TriRegion(NamedTuple):
     """Triangular window with side lines (w1, w2, w3).
 
     Positive (value sum +3*side) means {f_d <= w_d}; negative means
-    {f_d >= w_d}.  A segment is interior when its midpoint is strictly
-    inside, and boundary when it lies on a side line within the side's
-    extent; midpoint tests use doubled functionals to stay integral.
+    {f_d >= w_d}.  The side lines are anchor row q1 = (1 - w1)/3, the
+    anchors with p + q = c2 = (w2 + 2)/3 and column p3 = (1 - w3)/3; the
+    window's segments on them are its boundary, the others are interior
+    (midpoint strictly inside).
     """
 
     w1: int
@@ -438,75 +348,65 @@ class TriRegion(NamedTuple):
             return all(m < 2 * w for m, w in zip(mids, self))
         return all(m > 2 * w for m, w in zip(mids, self))
 
-    def is_boundary(self, seg: Seg) -> bool:
-        mids = seg.doubled_midpoint()
-        sign = self.orientation
-        on_own = False
-        for m, w in zip(mids, self):
-            if m == 2 * w:
-                if on_own:
-                    return False
-                on_own = True
-            elif sign * m > sign * 2 * w:
-                return False
-        return on_own
+    def _sides(self) -> tuple[int, int, int]:
+        return (1 - self.w1) // 3, (self.w2 + 2) // 3, (1 - self.w3) // 3
 
-    def _extents(self, rows: range) -> Iterator[tuple[int, int, int, int]]:
-        """(d, v, first, last) for the i-th line in from each side, i in
-        rows: side - i + 1 vertices, i = 0 being the side line itself."""
-        sign = self.orientation
-        for d, j, l in ((1, 3, 2), (2, 3, 1), (3, 1, 2)):
-            wd, wj, wl = self[d - 1], self[j - 1], self[l - 1]
-            for i in rows:
-                v = wd - 3 * sign * i
-                a, b = (1 - wj) // 3, (v + wl + 1) // 3
-                yield (d, v, a, b) if sign == POSITIVE else (d, v, b, a)
+    def vertex_rows(self) -> dict[int, tuple[int, int]]:
+        """{q: (first, stop)}: the vertices on row q are p = first..stop-1,
+        from column p3 to the line p + q = c2, for q between q1 and c2 - p3."""
+        q1, c2, p3 = self._sides()
+        if self.orientation == POSITIVE:
+            return {q: (p3, c2 - q + 1) for q in range(q1, c2 - p3 + 1)}
+        return {q: (c2 - q, p3 + 1) for q in range(c2 - p3, q1 + 1)}
 
-    def line_extents(self) -> Iterator[tuple[int, int, int, int]]:
-        """(d, v, first, last) for every grid line meeting the closed window."""
-        return self._extents(range(self.side + 1))
-
-    def iter_interior_lines(self) -> Iterator[tuple[int, int, list[Seg], range]]:
-        """(d, v, segments, mids) for each grid line through the interior."""
-        return (line_segments(*e) for e in self._extents(range(1, self.side)))
-
-    def iter_boundary_lines(self) -> Iterator[tuple[int, int, list[Seg], range]]:
-        """(d, v, segments, mids) for the three side lines."""
-        return (line_segments(*e) for e in self._extents(range(1)))
+    def side_rows(self) -> Spans:
+        """The boundary in ``segment_rows`` form: all of row q1 in
+        direction 1, and one anchor per row in directions 2 (p = c2 - q)
+        and 3 (p = p3).  Each span sits at one end of its segment row."""
+        q1, c2, p3 = self._sides()
+        low, high = sorted((q1, c2 - p3))
+        first, stop = sorted((p3, c2 - q1))
+        return ({q1: (first, stop)} if first < stop else {},
+                {q: (c2 - q, c2 - q + 1) for q in range(low + 1, high + 1)},
+                {q: (p3, p3 + 1) for q in range(low, high)})
 
     def iter_interior_segments(self) -> Iterator[Seg]:
-        return chain.from_iterable(segs for _, _, segs, _ in self.iter_interior_lines())
+        """The segment rows less their side spans, one end of each row."""
+        for d, (by_q, sides) in enumerate(zip(self.segment_rows(), self.side_rows()), start=1):
+            for q, (first, stop) in by_q.items():
+                lo, hi = sides.get(q, (stop, stop))
+                for p in range(hi, stop) if lo == first else range(first, lo):
+                    yield Seg(d, p, q)
 
     def iter_boundary_segments(self) -> Iterator[Seg]:
-        return chain.from_iterable(segs for _, _, segs, _ in self.iter_boundary_lines())
+        return row_segments(self.side_rows())
 
     def iter_tile_anchors(self) -> Iterator[tuple[int, int, int]]:
         """(orientation, p, q) of every unit triangle in the window."""
-        return tile_anchors(self.line_extents())
+        return ((o, p, q) for o, q, first, stop in tile_rows(self.segment_rows())
+                for p in range(first, stop))
 
-    def segment_rows(self) -> tuple[dict[int, tuple[int, int]], ...]:
-        return segment_rows(self.line_extents())
-
-    def side_anchors(self) -> tuple[int, int, int]:
-        """(q1, c2, p3): the boundary is anchor row q1 in direction 1, the
-        anchors with p + q = c2 in direction 2 and column p3 in direction 3."""
-        return (1 - self.w1) // 3, (self.w2 + 2) // 3, (1 - self.w3) // 3
+    def segment_rows(self) -> Spans:
+        return segment_rows(self.vertex_rows())
 
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.side * self.side >= 12 * r * r
 
     def erode(self, rows: int) -> "TriRegion":
-        sign = self.orientation
-        return TriRegion(self.w1 - 3 * rows * sign,
-                         self.w2 - 3 * rows * sign,
-                         self.w3 - 3 * rows * sign)
+        """Each side moved ``rows`` rows inward, taking 3 off the side per
+        row.  From 3 * rows >= side on nothing is left inside: the result
+        is then the side-0 triangle, a vertex, where the first two sides
+        meet after side // 3 rows."""
+        shift = 3 * self.orientation * min(rows, self.side // 3)
+        w1, w2 = self.w1 - shift, self.w2 - shift
+        return TriRegion(w1, w2, -w1 - w2 if 3 * rows >= self.side else self.w3 - shift)
 
 
 class BallRegion(NamedTuple):
     """Ball window of integer radius centered at O.
 
     A segment belongs to the window when both endpoints are within the
-    radius; there are no flagged boundary segments.
+    radius; a ball has no sides, so no flagged boundary segments.
     """
 
     radius: int
@@ -515,47 +415,35 @@ class BallRegion(NamedTuple):
     def orientation(self) -> int:
         return 0
 
-    def contains_vertex(self, vert: Vertex) -> bool:
-        return vert.norm_sq_times_12() <= 12 * self.radius * self.radius
-
-    def contains_interior(self, seg: Seg) -> bool:
-        a, b = seg.endpoints()
-        return self.contains_vertex(a) and self.contains_vertex(b)
-
-    def is_boundary(self, seg: Seg) -> bool:
-        return False
-
-    def line_extents(self) -> Iterator[tuple[int, int, int, int]]:
-        """(d, v, first, last) for every grid line meeting the ball:
-        |2g + v| <= isqrt(36r^2 - 3v^2) at the vertices' g = 1 - 3t."""
+    def vertex_rows(self) -> dict[int, tuple[int, int]]:
+        """{q: (first, stop)}: the vertices on row q are p = first..stop-1,
+        those with |6p + 3q - 3| <= isqrt(36r^2 - 3(3q - 1)^2)."""
         bound = 36 * self.radius * self.radius
-        top = isqrt(bound // 3)
-        for d in (1, 2, 3):
-            for v in range(-top + (top + 1) % 3, top + 1, 3):
-                m = isqrt(bound - 3 * v * v)
-                first, last = (v + 7 - m) // 6, (v + 2 + m) // 6
-                if first <= last:
-                    yield d, v, first, last
+        top = isqrt(bound // 3)  # rows with |3q - 1| <= top
+        rows = {}
+        for q in range(-((top - 1) // 3), (top + 1) // 3 + 1):
+            m = isqrt(bound - 3 * (3 * q - 1) ** 2)
+            first, stop = (8 - 3 * q - m) // 6, (9 - 3 * q + m) // 6
+            if first < stop:
+                rows[q] = first, stop
+        return rows
 
-    def iter_interior_lines(self) -> Iterator[tuple[int, int, list[Seg], range]]:
-        """(d, v, segments, mids) for each grid line holding a ball segment."""
-        return (line_segments(*e) for e in self.line_extents() if e[2] < e[3])
+    def side_rows(self) -> Spans:
+        """A ball has no sides."""
+        return {}, {}, {}
 
     def iter_interior_segments(self) -> Iterator[Seg]:
-        return chain.from_iterable(segs for _, _, segs, _ in self.iter_interior_lines())
+        return row_segments(self.segment_rows())
 
     def iter_boundary_segments(self) -> Iterator[Seg]:
         return iter(())
 
     def iter_tile_anchors(self) -> Iterator[tuple[int, int, int]]:
-        return tile_anchors(self.line_extents())
+        return ((o, p, q) for o, q, first, stop in tile_rows(self.segment_rows())
+                for p in range(first, stop))
 
-    def segment_rows(self) -> tuple[dict[int, tuple[int, int]], ...]:
-        return segment_rows(self.line_extents())
-
-    def side_anchors(self) -> None:
-        """A ball has no sides."""
-        return None
+    def segment_rows(self) -> Spans:
+        return segment_rows(self.vertex_rows())
 
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.radius >= r

@@ -18,7 +18,7 @@ one text per x value and per row.
 from __future__ import annotations
 
 from operator import getitem
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ParseError
 from .folding import BLUE_CODE, NO_COLOR, RED_CODE, Color, PatternPatch, WindowColors
@@ -155,7 +155,7 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
     rows = tuple({q: (first, bytearray(bytes([UNREAD]) * (stop - first)))
                   for q, (first, stop) in extents.items()}
                  for extents in region.segment_rows())
-    sides = region.side_anchors()
+    sides = region.side_rows()
     flagged: set[Seg] = set()  # boundary segments with a flagged record
     stray: tuple[Seg, int] | None = None  # the first flag off the boundary
     for no, raw in enumerate(lines[3:], start=4):
@@ -176,8 +176,8 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
         if len(parts) == 5:
             if parts[4] != "*":
                 raise ParseError(f"bad flag {parts[4]!r}", no)
-            if sides is not None and (q == sides[0] if d == 1 else
-                                      p + q == sides[1] if d == 2 else p == sides[2]):
+            lo, hi = sides[d - 1].get(q, (0, 0))
+            if lo <= p < hi:
                 flagged.add(Seg(d, p, q))
             elif stray is None:
                 stray = (Seg(d, p, q), no)
@@ -196,7 +196,7 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
         raise ParseError(f"{stray[0]} is flagged but not on the boundary", stray[1])
     # duplicates are refused, so every side segment is flagged once iff
     # the count is right
-    if sides is not None and len(flagged) != 3 * region.side:
+    if len(flagged) != sum(hi - lo for spans in sides for lo, hi in spans.values()):
         seg = min(s for s in region.iter_boundary_segments() if s not in flagged)
         raise ParseError(f"boundary segment {seg} has no flagged record", 3)
     store = tuple({q: (first, bytes(row.translate(_READ))) for q, (first, row) in r.items()}
@@ -204,14 +204,13 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
     return PatternPatch(region, WindowColors(region, store)), seq
 
 
-def write_tiling(window: Iterable[DecoratedTile], seq: str = "",
+def write_tiling(window: dict[Triangle, DecoratedTile], seq: str = "",
                  region: Region | None = None) -> str:
-    tiles = window.values() if isinstance(window, dict) else list(window)
     lines = [TILING_MAGIC, f"seq {seq}"]
     if region is not None:
         lines.append(_region_header(region))
     recs = []
-    for tile in tiles:
+    for tile in window.values():
         o, p, q = tile.triangle.anchor()
         key = (0 if o == POSITIVE else 1, p, q)
         rec = f"{'P' if o == POSITIVE else 'N'} {p} {q} {tile.red_count}"
@@ -319,12 +318,11 @@ def render_svg(patch: PatternPatch) -> str:
     return _svg_document(body, xs, ys)
 
 
-def render_tiling_svg(window) -> str:
+def render_tiling_svg(window: dict[Triangle, DecoratedTile]) -> str:
     """Tiles as filled triangles keyed by red count; decorations are
     dots near the marked side."""
-    tiles = window.values() if isinstance(window, dict) else list(window)
     recs = []
-    for tile in tiles:
+    for tile in window.values():
         o, p, q = tile.triangle.anchor()
         recs.append(((0 if o == POSITIVE else 1, p, q), tile))
     body = []

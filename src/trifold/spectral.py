@@ -251,12 +251,6 @@ class EigenReport:
     eigenspace_dims: dict[int, int]
     diagonalizable: bool
 
-    @property
-    def two_k_dimension(self) -> int | None:
-        """Dimension of the 2^k eigenspace (the interesting one when k
-        is even; always 2 or 3 in practice)."""
-        return self.eigenspace_dims.get(2 ** self.k)
-
     def lines(self) -> list[str]:
         out = [f"word: {self.word}",
                f"k: {self.k}",

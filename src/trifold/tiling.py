@@ -47,9 +47,8 @@ def to_tiling(patch: PatternPatch) -> dict[Triangle, DecoratedTile]:
             for tri, cols in patch.full_tiles()}
 
 
-def strip_decoration(window: Iterable[DecoratedTile] | dict) -> dict[Triangle, int]:
-    tiles = window.values() if isinstance(window, dict) else window
-    return {t.triangle: t.red_count for t in tiles}
+def strip_decoration(window: dict[Triangle, DecoratedTile]) -> dict[Triangle, int]:
+    return {tri: t.red_count for tri, t in window.items()}
 
 
 def _tiles_around(vertex: Vertex):
@@ -72,7 +71,7 @@ def _tiles_around(vertex: Vertex):
     return tiles, spokes, outer
 
 
-def reconstruct(window: dict[Triangle, int] | Iterable[DecoratedTile],
+def reconstruct(window: dict[Triangle, int],
                 targets: Optional[Iterable[Seg]] = None) -> dict[Seg, Color]:
     """Rebuild segment colors from undecorated red counts.
 
@@ -81,8 +80,6 @@ def reconstruct(window: dict[Triangle, int] | Iterable[DecoratedTile],
     input) and Undecidable when a requested segment cannot be settled
     inside the window.
     """
-    if not isinstance(window, dict):
-        window = {t.triangle: t.red_count for t in window}
     for tri, count in window.items():
         if not 0 <= count <= 3:
             raise Inconsistent(f"{tri}: red count {count} out of range")

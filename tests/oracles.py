@@ -1,16 +1,20 @@
 """Independent brute-force oracles used only by the tests.
 
-These deliberately avoid the library's layer/orientation arithmetic:
-layer triangles are found by enumerating all value triples with the
+Layer triangles are found by enumerating all value triples with the
 right 2-adic valuation and side length, and their boundary segments by
-walking the triangle's corners.  Window segments and unit tiles are
-found by testing every segment or tile in the window's bounding box.
-Matrix products and ranks are taken over plain `Fraction`s, with no
-integer shortcuts.  Pattern windows are painted into plain dicts one
-segment at a time with `color_of_segment`, and recolored, filtered and
+walking the triangle's corners; ``layer_triangle_of`` turns the
+library's one-segment ``layer_data`` into the attached triangle's side
+values so that enumeration can check it.  Window segments and unit
+tiles are found by testing every segment or tile in the window's
+bounding box: a triangle's with the midpoint predicates
+``TriRegion.contains_interior`` and ``is_boundary``, a ball's with the
+exact Cartesian norm ``norm_sq_times_12``.  ``reflect_line`` is the
+line form of the library's vertex and segment reflections.  Matrix
+products and ranks are taken over plain `Fraction`s, with no integer
+shortcuts.  Pattern windows are painted into plain dicts one segment
+at a time with `color_of_segment`, and recolored, filtered and
 translated one segment at a time.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
@@ -20,10 +24,12 @@ from trifold.folding import Color, FoldingSequence, color_of_segment
 from trifold.lattice import (
     NEGATIVE,
     POSITIVE,
+    Line,
     Seg,
     Triangle,
     TriRegion,
     Vertex,
+    layer_data,
     layer_of,
     seg_between,
     unit_tile_segments,
@@ -80,6 +86,50 @@ def brute_layer_triangles(k: int, value_bound: int) -> dict[Seg, Triangle]:
     return out
 
 
+def layer_triangle_of(seg: Seg) -> Triangle:
+    """The layer triangle attached to the segment, with its side values:
+    in each other direction, the layer-k value just below the midpoint
+    (negative triangle) or just above it (positive)."""
+    k, positive = layer_data(seg)
+    s = 1 << (k - 1)
+    r = s if k & 1 else -s
+    step = 6 * s
+    mids = seg.doubled_midpoint()
+    vals = [r + step * ((m - 2 * r) // (2 * step) + positive) for m in mids]
+    vals[seg.d - 1] = mids[seg.d - 1] // 2
+    return Triangle(*vals)
+
+
+def reflect_line(line: Line, mirror: Line) -> Line:
+    """Mirror image of a grid line across another."""
+    d, V = mirror
+    if line.d == d:
+        return Line(d, 2 * V - line.v)
+    (other,) = [i for i in (1, 2, 3) if i != d and i != line.d]
+    return Line(other, -line.v - V)
+
+
+def norm_sq_times_12(p: int, q: int) -> int:
+    """12 |x|^2 at the vertex (p, q), exactly."""
+    return 3 * (2 * p + q - 1) ** 2 + (3 * q - 1) ** 2
+
+
+def is_boundary(region: TriRegion, seg: Seg) -> bool:
+    """Whether the segment's midpoint lies on exactly one side line of
+    the triangle and inside the other two."""
+    mids = seg.doubled_midpoint()
+    sign = region.orientation
+    on_own = False
+    for m, w in zip(mids, region):
+        if m == 2 * w:
+            if on_own:
+                return False
+            on_own = True
+        elif sign * m > sign * 2 * w:
+            return False
+    return on_own
+
+
 def scan_region_segments(region: TriRegion) -> tuple[set[Seg], set[Seg]]:
     """(interior, boundary) segments of a triangular window, found by
     testing every segment anchored in the bounding box of its corners
@@ -95,7 +145,7 @@ def scan_region_segments(region: TriRegion) -> tuple[set[Seg], set[Seg]]:
                 seg = Seg(d, p, q)
                 if region.contains_interior(seg):
                     interior.add(seg)
-                elif region.is_boundary(seg):
+                elif is_boundary(region, seg):
                     boundary.add(seg)
     return interior, boundary
 
@@ -134,7 +184,7 @@ def scan_ball(radius: int) -> tuple[set[Seg], set[tuple[int, int, int]]]:
     vertices tested with the Cartesian norm: the vertex (p, q) sits at
     ((2p + q - 1)/2, (3q - 1)/(2 sqrt 3)), so 12|x|^2 is an integer."""
     def inside(p: int, q: int) -> bool:
-        return 3 * (2 * p + q - 1) ** 2 + (3 * q - 1) ** 2 <= 12 * radius * radius
+        return norm_sq_times_12(p, q) <= 12 * radius * radius
 
     span = range(-2 * radius - 2, 2 * radius + 3)
     segs = set()

@@ -6,7 +6,6 @@ import pytest
 from trifold.analysis import (
     decorated_type_counts,
     disallowed_stars,
-    empirical_densities,
     filter_layer,
     layer_block_check,
     period_check,
@@ -57,9 +56,9 @@ def test_densities_match_matrix_counts():
     # M_P^2 column 1
     p = patch(ALL_UP, 4)
     assert tile_class_counts(p) == (28, 54, 36, 18, 36, 27, 18, 39)
-    dens = empirical_densities(p)
-    assert sum(dens) == 1
-    assert dens[0] == Fraction(28, 256)
+    counts = tile_class_counts(p)
+    assert sum(counts) == 256
+    assert counts[0] == 28
 
 
 def test_densities_match_exact_vectors_more_scales():
@@ -88,8 +87,7 @@ def test_decorated_frequencies_approach_one_twentyfourth():
 
 def test_single_tile_window_degenerate_density():
     p = patch(ALL_UP, 0)  # just the central tile, boundary colored
-    dens = empirical_densities(p)
-    assert dens == (Fraction(1),) + (Fraction(0),) * 7
+    assert tile_class_counts(p) == (1,) + (0,) * 7
 
 
 def test_period_check_empty_on_aperiodic_window():

@@ -81,6 +81,23 @@ def test_generate_render_reconstruct_pipeline(tmp_path, capsys):
     assert "reference match" in out
 
 
+def test_reconstruct_margin_past_the_center_checks_nothing(tmp_path, capsys):
+    # side-32 window: a 20-row margin leaves no segment to check
+    pat = tmp_path / "p.pat"
+    til = tmp_path / "p.til"
+    code, _, _ = run(capsys, "generate", "--seq", "(+-)*", "--size", "5", "--out", str(pat))
+    assert code == 0
+    from trifold.patternio import write_tiling
+    from trifold.tiling import to_tiling
+    patch, seq = read_pattern(pat.read_text())
+    til.write_text(write_tiling(to_tiling(patch), seq, patch.region))
+    for margin in ("16", "20"):
+        code, out, _ = run(capsys, "reconstruct", "--in", str(til), "--ref", str(pat),
+                           "--margin", margin)
+        assert code == 0
+        assert "reference match: 0/0" in out
+
+
 def test_stars_and_period(capsys):
     code, out, _ = run(capsys, "stars", "--seq", "(+)*", "--size", "4",
                        "--assert-allowed")

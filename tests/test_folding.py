@@ -177,7 +177,7 @@ def test_recolor_incompatible_periodic_words():
     FoldingSequence(fn=lambda k: "+" if bin(k).count("1") % 2 else "-"),
 ], ids=["finite", "periodic", "callback"])
 def test_patch_matches_per_segment_colors(seq):
-    # the line-by-line extents and kernel against the one-segment form
+    # the line-by-line painter against the one-segment form
     for k in range(8):
         p = patch(seq, k)
         region = standard_region(k)

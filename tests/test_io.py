@@ -82,6 +82,17 @@ def test_pattern_flags_must_match_region_boundary():
         read_pattern(ball.replace(" red\n", " red *\n", 1))
 
 
+def test_pattern_names_each_flagged_interior_record():
+    # the side spans end where the interior starts: a flag one anchor in is stray
+    for p in (patch(FoldingSequence.parse("(+)*"), 2), patch(FoldingSequence.parse("(+-)*"), 3)):
+        lines = write_pattern(p, "s").splitlines()
+        for i, line in enumerate(lines[3:], 3):
+            if not line.endswith(" *"):
+                with pytest.raises(ParseError) as info:
+                    read_pattern("\n".join([*lines[:i], line + " *", *lines[i + 1:]]) + "\n")
+                assert info.value.line == i + 1
+
+
 @pytest.mark.parametrize("header", [
     "region triangle -1", "region ball -2", "region tri 1 1 2", "region tri 1 -2 1",
 ])
@@ -102,7 +113,7 @@ def test_pattern_rejects_records_outside_region(record):
 
 
 def test_pattern_region_check_follows_line_extents():
-    # every segment of the closed window, and nothing next to it, reads back
+    # every segment of the window's rows, and nothing next to it, reads back
     for p in (patch(FoldingSequence.parse("(+-)*"), 3), ball_patch(FoldingSequence.parse("(+)*"), 5)):
         text = write_pattern(p, "s")
         assert read_pattern(text)[0].colors == p.colors

@@ -4,6 +4,10 @@ import pytest
 
 from oracles import (
     brute_layer_triangles,
+    is_boundary,
+    layer_triangle_of,
+    norm_sq_times_12,
+    reflect_line,
     scan_ball,
     scan_region_segments,
     scan_region_tiles,
@@ -19,15 +23,12 @@ from trifold.lattice import (
     Triangle,
     TriRegion,
     Vertex,
-    adjacent_unit_triangles,
-    dilate,
     layer_data,
     layer_kernel,
     layer_of,
-    layer_triangle_of,
-    layer_triangle_orientation,
     line_of,
-    reflect,
+    reflect_segment,
+    reflect_vertex,
     seg_between,
     standard_region,
     v2,
@@ -74,20 +75,9 @@ def test_layer_partition_of_line_values():
             assert layer_of(Seg(1, 0, (1 - v) // 3)) == v2(v) + 1
 
 
-def test_adjacent_unit_triangles():
-    pos, neg = adjacent_unit_triangles(Seg(1, 0, 0))
-    assert pos == Triangle(1, 1, 1)
-    assert neg.total == -3
-    for _ in range(100):
-        seg = Seg(RNG.choice((1, 2, 3)), RNG.randint(-30, 30), RNG.randint(-30, 30))
-        pos, neg = adjacent_unit_triangles(seg)
-        assert pos.total == 3 and neg.total == -3
-        assert seg in pos.side_segments() and seg in neg.side_segments()
-
-
 def test_layer_triangle_on_t0_sides():
     for seg in Triangle(1, 1, 1).side_segments():
-        assert layer_triangle_orientation(seg) == POSITIVE
+        assert layer_data(seg)[1]
         assert layer_triangle_of(seg) == Triangle(1, 1, 1)
 
 
@@ -102,33 +92,20 @@ def test_layer_triangle_against_brute_force_radius_64():
     for seg in window.iter_interior_segments():
         tri = oracle[seg]
         assert layer_triangle_of(seg) == tri
-        assert layer_triangle_orientation(seg) == tri.orientation
+        assert layer_data(seg)[1] == (tri.orientation == POSITIVE)
         checked += 1
     assert checked > 40000
 
 
 def test_layer_orientation_never_malformed_radius_128():
     for seg in BallRegion(128).iter_interior_segments():
-        layer_triangle_orientation(seg)  # must not raise
-
-
-def test_neg2_dilation_moves_layers_up():
-    for v in range(-100, 100):
-        if v % 3 == 1 % 3 and v != 0:
-            image = dilate(Line(1, v), -2)
-            assert image.v % 3 == 1 % 3
-            assert image.layer == v2(v) + 2
-
-
-def test_dilation_rejects_bad_factor():
-    with pytest.raises(ValueError):
-        dilate(Line(1, 1), 2)
+        layer_data(seg)  # must not raise
 
 
 def test_reflect_fixed_line_and_point():
     line = Line(1, 1)
-    assert reflect(line, line) == line
-    assert reflect(Vertex(0, 0), Line(2, -2)) == Vertex(0, 0)  # on the line
+    assert reflect_line(line, line) == line
+    assert reflect_vertex(Vertex(0, 0), Line(2, -2)) == Vertex(0, 0)  # on the line
 
 
 def test_reflect_direction_swap_rule():
@@ -136,7 +113,7 @@ def test_reflect_direction_swap_rule():
     # with value -(c) - V
     for c, V in ((1, 1), (-5, -2), (7, 4), (10, -2)):
         if c % 3 == 1 % 3 and V % 3 == 1 % 3:
-            img = reflect(Line(2, c), Line(1, V))
+            img = reflect_line(Line(2, c), Line(1, V))
             assert img == Line(3, -c - V)
 
 
@@ -144,9 +121,9 @@ def test_reflect_segment_involution_and_line():
     for _ in range(200):
         seg = Seg(RNG.choice((1, 2, 3)), RNG.randint(-20, 20), RNG.randint(-20, 20))
         mirror = Line(RNG.choice((1, 2, 3)), RNG.choice((1, -2, 4, -5, 7)))
-        img = reflect(seg, mirror)
-        assert reflect(img, mirror) == seg
-        assert line_of(img) == reflect(line_of(seg), mirror)
+        img = reflect_segment(seg, mirror)
+        assert reflect_segment(img, mirror) == seg
+        assert line_of(img) == reflect_line(line_of(seg), mirror)
 
 
 def test_reflection_preserves_layer_when_mirror_is_deeper():
@@ -158,7 +135,7 @@ def test_reflection_preserves_layer_when_mirror_is_deeper():
                     if v % 3 == 1 % 3 and v2(v) == k - 1:
                         for d in (1, 2, 3):
                             for md in (1, 2, 3):
-                                img = reflect(Line(d, v), Line(md, mv))
+                                img = reflect_line(Line(d, v), Line(md, mv))
                                 assert v2(img.v) == k - 1
 
 
@@ -188,9 +165,9 @@ def test_region_interior_boundary_segment_counts():
         assert len(set(interior)) == len(interior)
         for seg in interior:
             assert region.contains_interior(seg)
-            assert not region.is_boundary(seg)
+            assert not is_boundary(region, seg)
         for seg in boundary:
-            assert region.is_boundary(seg)
+            assert is_boundary(region, seg)
             assert not region.contains_interior(seg)
 
 
@@ -213,18 +190,7 @@ def test_ball_region_segments_have_endpoints_inside():
     ball = BallRegion(10)
     for seg in ball.iter_interior_segments():
         for v in seg.endpoints():
-            assert v.norm_sq_times_12() <= 12 * 100
-
-
-def test_interior_lines_cover_interior_segments():
-    for region in (standard_region(5), standard_region(6),
-                   TriRegion(7, -14, 22), TriRegion(-5, 4, -20)):
-        lines = list(region.iter_interior_lines())
-        segs = [s for _, _, line_segs, _ in lines for s in line_segs]
-        assert sorted(segs) == sorted(region.iter_interior_segments())
-        for d, v, line_segs, mids in lines:
-            assert {line_of(s) for s in line_segs} == {Line(d, v)}
-            assert len(mids) == len(line_segs)
+            assert norm_sq_times_12(*v) <= 12 * 100
 
 
 @pytest.mark.parametrize("region", [
@@ -237,12 +203,6 @@ def test_region_enumeration_matches_bounding_box_scan(region):
     assert len(segs) == len(interior) and set(segs) == interior
     bnd = list(region.iter_boundary_segments())
     assert len(bnd) == 3 * region.side and set(bnd) == boundary
-    lines = list(region.iter_interior_lines())
-    assert [s for _, _, line_segs, _ in lines for s in line_segs] == segs
-    for d, v, line_segs, mids in lines:
-        assert {line_of(s) for s in line_segs} == {Line(d, v)}
-        j = 1 if d == 3 else 3
-        assert list(mids) == [s.doubled_midpoint()[j - 1] for s in line_segs]
 
 
 @pytest.mark.parametrize("radius", [*range(41), 48])
@@ -251,14 +211,31 @@ def test_ball_enumeration_matches_box_scan(radius):
     segs, tiles = scan_ball(radius)
     found = list(ball.iter_interior_segments())
     assert len(found) == len(segs) and set(found) == segs
-    lines = list(ball.iter_interior_lines())
-    assert [s for _, _, line_segs, _ in lines for s in line_segs] == found
-    for d, v, line_segs, mids in lines:
-        assert line_segs and {line_of(s) for s in line_segs} == {Line(d, v)}
-        k, positive = layer_kernel(d, v, mids)
-        assert [(k, pos) for pos in positive] == [layer_data(s) for s in line_segs]
     anchors = list(ball.iter_tile_anchors())
     assert len(anchors) == len(tiles) and set(anchors) == tiles
+
+
+def _vertices(region) -> set[tuple[int, int]]:
+    return {(p, q) for q, (first, stop) in region.vertex_rows().items() for p in range(first, stop)}
+
+
+def test_erosion_stays_inside_and_empties_past_the_center():
+    for side in range(0, 12):
+        for sign in (1, -1):
+            for a, b in ((0, 0), (3, -2), (-5, 4)):
+                w1, w3 = 1 - 3 * b, 1 - 3 * a
+                region = TriRegion(w1, sign * 3 * side - w1 - w3, w3)
+                interior = set(region.iter_interior_segments())
+                vertices = _vertices(region)
+                for rows in range(0, side + 3):
+                    eroded = set(region.erode(rows).iter_interior_segments())
+                    assert eroded <= interior
+                    assert _vertices(region.erode(rows)) <= vertices
+                    if 3 * rows >= side:
+                        assert not eroded
+                    else:
+                        assert region.erode(rows).side == side - 3 * rows
+                        assert region.erode(rows).orientation == region.orientation
 
 
 def test_tile_rule_matches_box_scan_on_triangles():
@@ -274,7 +251,7 @@ def test_tile_rule_matches_box_scan_on_triangles():
 
 def test_layer_kernel_rejects_off_grid_lines():
     # line f1 = 4 carries Seg(1, p, -1) at doubled midpoint f3 = -1 - 6p
-    want = [layer_triangle_orientation(Seg(1, p, -1)) == POSITIVE for p in range(-4, 4)]
+    want = [layer_data(Seg(1, p, -1))[1] for p in range(-4, 4)]
     assert layer_kernel(1, 4, [-1 - 6 * p for p in range(-4, 4)]) == (3, want)
     for v in (2, 3, 5, -1, 6):
         with pytest.raises(MalformedLayer):

@@ -139,14 +139,14 @@ def test_eigen_report_all_up_squared():
     assert rep.eigenvalues == (16, 4, 4, 4, 1, 1, 0, 0)
     assert rep.pf_ok and rep.unit_ok and rep.kernel_ok
     assert rep.eigenspace_dims[16] == 1
-    assert rep.two_k_dimension in (2, 3)
+    assert rep.eigenspace_dims[2 ** rep.k] in (2, 3)
     assert rep.diagonalizable
 
 
 def test_eigen_report_plus_minus_not_diagonalizable():
     rep = eigen_report("+-")
     assert not rep.diagonalizable
-    assert rep.two_k_dimension == 2
+    assert rep.eigenspace_dims[2 ** rep.k] == 2
     assert rep.pf_ok and rep.unit_ok and rep.kernel_ok
 
 

@@ -145,9 +145,3 @@ def test_hexagon_spokes_uniquely_determined():
                 assert bits == tuple(p.colors[s] for s in spokes)
         assert solutions == 1
 
-
-def test_reconstruct_accepts_tile_list():
-    p = ball_patch(FoldingSequence.parse("(+)*"), 10)
-    tiles = list(to_tiling(p).values())  # any object with triangle+red_count
-    colors = reconstruct(tiles)
-    assert Seg(1, 0, 0) in colors

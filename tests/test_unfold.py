@@ -4,7 +4,7 @@ import pytest
 
 from trifold.errors import OrientationMismatch
 from trifold.folding import Color, FoldingSequence, PatternPatch, patch
-from trifold.lattice import Line, Seg, reflect, standard_region
+from trifold.lattice import Line, Seg, reflect_segment, standard_region
 from trifold.unfold import parse_mixed_word, unfold_once, unfold_pattern, uniform, uniform_word
 
 
@@ -62,7 +62,7 @@ def test_side_parts_are_swapped_mirrors():
         mirror = Line(d, mids)
         for seg, col in p.interior_items():
             if inner.contains_interior(seg):
-                image = reflect(seg, mirror)
+                image = reflect_segment(seg, mirror)
                 if image != seg:
                     assert p.colors[image] is col.swapped
 
