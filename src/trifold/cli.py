@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, folding, patternio, spectral, substitution, tiling, unfold
 from .errors import Inconsistent, TrifoldError, Undecidable
 from .folding import FoldingSequence, PatternPatch
+from .lattice import layer_of
 
 
 def _folding_text(text: str) -> str:
@@ -128,6 +130,12 @@ def _cross_check(word: str, methods: list[str]) -> dict[str, PatternPatch]:
     return {m: build[m]() for m in methods}
 
 
+def _layers(segs) -> str:
+    """A histogram of the segments by layer k, as "k:count" in increasing k."""
+    counts = Counter(layer_of(seg) for seg in segs)
+    return " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
+
+
 def cmd_verify(args) -> int:
     words = []
     if args.seq:
@@ -149,7 +157,9 @@ def cmd_verify(args) -> int:
         base = methods[0]
         for other in methods[1:]:
             diff = folding.interior_mismatches(patches[base], patches[other])
-            status = "ok" if not diff else f"MISMATCH ({len(diff)} segments)"
+            status = "ok"
+            if diff:
+                status = f"MISMATCH ({len(diff)} segments; layers {_layers(diff)})"
             print(f"{word}: {base} vs {other}: {status}")
             bad += bool(diff)
     return 1 if bad else 0
@@ -171,7 +181,7 @@ def cmd_reconstruct(args) -> int:
         checked = 0
         for seg in eroded.iter_interior_segments():
             want = ref.colors.get(seg)
-            if want is None or seg in ref.boundary:
+            if want is None:
                 continue
             checked += 1
             if colors.get(seg) is not want:

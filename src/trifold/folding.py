@@ -20,9 +20,9 @@ lays the rows out one grid line per grid row, a line is one layer k,
 and its colors repeat with period 2^k, so ``layer_kernel`` runs once
 per line on one period of midpoints and the line is one tiled write.
 Tile codes, interior rows and mismatches are whole-row byte
-operations.  The unfolder and the substituter hand their dicts to the
-same store through the ``PatternPatch`` constructor and never meet the
-paint rule.
+operations.  The unfolder and the substituter write the same rows
+themselves, through ``through_lines`` and ``tile_codes``, and never
+meet the paint rule.
 """
 
 from __future__ import annotations

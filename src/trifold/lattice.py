@@ -110,9 +110,6 @@ class Seg(NamedTuple):
             return (f1 + 3, f2, f3 - 3)
         return (f1 - 3, f2 + 3, f3)
 
-    def translate(self, a: int, b: int) -> "Seg":
-        return Seg(self.d, self.p + a, self.q + b)
-
 
 def unit_tile_segments(o: int, p: int, q: int) -> tuple[Seg, Seg, Seg]:
     """Side segments (by direction) of the unit tile anchored at (p, q)."""

@@ -15,14 +15,29 @@ window; the translation exists exactly when the seed orientation
 matches the parity of the step count (positive for even, negative for
 odd): composing the rules last-to-first from such a seed reproduces
 the folding pattern of the word on all interior segments.
+
+Inflation stays tile-local on the ``WindowColors`` rows: each tile's
+6-bit side code (``WindowColors.tile_codes``) picks its 12 child-side
+writes from a table built once per rule and orientation from
+``apply_rule_tile``, and every write is checked against the byte
+already there.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from functools import cache
+from typing import NamedTuple
 
 from .errors import OrientationMismatch, SeamConflict
-from .folding import Color, PatternPatch
+from .folding import (
+    CODE_COLORS,
+    COLOR_CODES,
+    NO_COLOR,
+    TILE_SIDES,
+    Color,
+    PatternPatch,
+    WindowColors,
+)
 from .lattice import NEGATIVE, POSITIVE, Seg, TriRegion, Triangle, standard_region
 from .spectral import Mat
 
@@ -114,50 +129,68 @@ def _corner_functionals(region: TriRegion) -> tuple[int, int, int]:
     return (region.w1, -region.w1 - region.w3, region.w3)
 
 
-def _placed_children(rule: str, tri: Triangle, cols, anchor
-                     ) -> Iterator[tuple[Triangle, tuple[Color, Color, Color]]]:
-    o = tri.orientation
-    x = (2 * tri.v1 - anchor[0], 2 * tri.v2 - anchor[1], 2 * tri.v3 - anchor[2])
-    adj = -3 * o
-    mu = medial_color(rule, -o)
-    yield Triangle(x[0] + adj, x[1] + adj, x[2] + adj), (mu, mu, mu)
-    for d in (1, 2, 3):
-        vals = list(x)
-        vals[d - 1] += adj
-        child_cols = tuple(mu if e == d else cols[e - 1].swapped
-                           for e in (1, 2, 3))
-        yield Triangle(*vals), child_cols
+@cache
+def _child_writes(rule: str, orientation: int) -> tuple:
+    """Per tile code c1 + 4 c2 + 16 c3 (see folding.TILE_SIDES), the 12
+    (d, dp, dq, code) writes of the tile's four children: Seg(d, 2p + dp,
+    2q + dq) gets ``code`` when the tile at (p, q) is inflated about the
+    vertex (0, 0).  None for a code with an uncolored side."""
+    x = [2 * v - a for v, a in zip(Triangle.unit_from_anchor(orientation, 0, 0), (1, -2, 1))]
+    adj = -3 * orientation
+    # the medial child (d = 0), then corner d, which moves side d only
+    children = [Triangle(*(v + adj * (d in (0, e)) for e, v in enumerate(x, start=1)))
+                for d in range(4)]
+    table = []
+    for sides in TILE_SIDES:
+        if sides is None:
+            table.append(None)
+            continue
+        images = apply_rule_tile(rule, TriangleColoring(orientation, sides))
+        table.append(tuple((seg.d, seg.p, seg.q, COLOR_CODES[color])
+                           for child, image in zip(children, images)
+                           for seg, color in zip(child.side_segments(), image.colors)))
+    return tuple(table)
 
 
 def apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
     """Inflate a fully colored triangular patch by one rule application.
 
-    Every unit tile is replaced by its four children; shared segments
-    are written from both adjacent tiles and must agree, otherwise
-    SeamConflict reports a rule bug.
+    Every unit tile is replaced by its four children, written from a
+    table of its tile code; shared segments are written from both
+    adjacent tiles and must agree, otherwise SeamConflict reports a rule
+    bug.
     """
     region = patch.region
     if not isinstance(region, TriRegion):
         raise OrientationMismatch("substitution needs a triangular patch")
     anchor = _corner_functionals(region)
-    tiles = list(patch.full_tiles())
-    if len(tiles) != region.side * region.side:
-        raise ValueError("patch is not fully colored (boundary sides included)")
-
-    out: dict[Seg, Color] = {}
-    for tri, cols in tiles:
-        for child, child_cols in _placed_children(rule, tri, cols, anchor):
-            for seg, col in zip(child.side_segments(), child_cols):
-                prev = out.get(seg)
-                if prev is None:
-                    out[seg] = col
-                elif prev is not col:
-                    raise SeamConflict(f"{seg}: {prev.value} vs {col.value}")
-
     new_region = TriRegion(2 * region.w1 - anchor[0],
                            2 * region.w2 - anchor[1],
                            2 * region.w3 - anchor[2])
-    return PatternPatch(new_region, out)
+    # the inflation vertex (pa, qa) moves the children by (-pa, -qa)
+    pa, qa = (1 - anchor[2]) // 3, (1 - anchor[0]) // 3
+    out = tuple({q: (first, bytearray([NO_COLOR]) * (stop - first))
+                 for q, (first, stop) in extents.items()}
+                for extents in new_region.segment_rows())
+    for o, q, first, codes in patch.colors.tile_codes():
+        table = _child_writes(rule, o)
+        for i, code in enumerate(codes):
+            writes = table[code]
+            if writes is None:
+                raise ValueError("patch is not fully colored (boundary sides included)")
+            p2, q2 = 2 * (first + i) - pa, 2 * q - qa
+            for d, dp, dq, color in writes:
+                start, row = out[d - 1][q2 + dq]
+                j = p2 + dp - start
+                prev = row[j]
+                if prev != color:
+                    if prev != NO_COLOR:
+                        seg = Seg(d, p2 + dp, q2 + dq)
+                        raise SeamConflict(f"{seg}: {CODE_COLORS[prev].value} vs "
+                                           f"{CODE_COLORS[color].value}")
+                    row[j] = color
+    rows = tuple({q: (first, bytes(row)) for q, (first, row) in r.items()} for r in out)
+    return PatternPatch(new_region, WindowColors(new_region, rows))
 
 
 def seed_patch(seed: TriangleColoring) -> PatternPatch:

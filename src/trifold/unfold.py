@@ -6,13 +6,31 @@ central creases with peaks and valleys exchanged, and the three fold
 lines themselves become new creases.  Mixed foldings choose the
 halfspace per flap, so each midsegment crease is colored from its own
 flap direction while the mirrored contents swap color regardless.
+
+A step copies the ``WindowColors`` rows a grid line at a time
+(``folding.through_lines``; see ``unfold_once``) and never evaluates
+the closed-form layer rule.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .errors import OrientationMismatch
-from .folding import DOWN, UP, Color, PatternPatch
-from .lattice import Line, TriRegion, reflect_segment, standard_region
+from .folding import (
+    BLUE_CODE,
+    DOWN,
+    NO_COLOR,
+    RED_CODE,
+    SWAP,
+    UP,
+    PatternPatch,
+    WindowColors,
+    through_lines,
+)
+from .lattice import Line, Seg, TriRegion, line_of, reflect_segment, standard_region
+
+_NONE = bytes([NO_COLOR])
 
 #: One direction per midsegment flap; entry i controls the crease on the
 #: direction-(i+1) side of the patch being unfolded.
@@ -48,26 +66,59 @@ def _patch_exponent(region) -> int:
     raise OrientationMismatch(f"{region} is not a centered side-2^m patch")
 
 
+def _segment_at(d: int, v: int, t: int) -> Seg:
+    """The segment at position t on the grid line {f_d = v}."""
+    L = (v + 2) // 3 if d == 2 else (1 - v) // 3
+    return Seg(1, t, L) if d == 1 else Seg(2, t, L - t) if d == 2 else Seg(3, L, t)
+
+
+def _position(seg: Seg) -> int:
+    return seg.q if seg.d == 3 else seg.p
+
+
 def unfold_once(patch: PatternPatch, fold: MixedFold) -> PatternPatch:
-    """Open one elementary (possibly mixed) folding: side 2^m -> 2^(m+1)."""
+    """Open one elementary (possibly mixed) folding: side 2^m -> 2^(m+1).
+
+    The patch is the medial triangle of the big one, and its side lines
+    {f_d = (-2)^m} are the mirrors.  A mirror maps position t of a line
+    to c + s t (s = +-1) on the image line, so each interior line of the
+    patch is written four times: as it is, and color-swapped onto its
+    image under each mirror.  Inside the big window a mirror line is
+    exactly the old side, the crease of its flap.
+    """
     m = _patch_exponent(patch.region)
     big = standard_region(m + 1)
     mid_value = (-2) ** m
+    mirrors = [Line(d, mid_value) for d in (1, 2, 3)]
+    creases = [bytes([RED_CODE if f == UP else BLUE_CODE]) for f in fold]
+    writes: dict[tuple[int, int], list[tuple[int, bytes]]] = {}
 
-    colors = dict(patch.interior_items())
-    for seg in patch.region.iter_boundary_segments():
-        colors[seg] = Color.RED if fold[seg.d - 1] == UP else Color.BLUE
+    def mirror(d: int, v: int, t0: int, cells: bytearray) -> None:
+        lo, hi = len(cells) - len(cells.lstrip(_NONE)), len(cells.rstrip(_NONE))
+        if lo >= hi:
+            return
+        start, body = t0 + lo, bytes(cells[lo:hi])
+        writes.setdefault((d, v), []).append((start, body))
+        swapped = body.translate(SWAP)
+        first, second = _segment_at(d, v, start), _segment_at(d, v, start + 1)
+        for line in mirrors:
+            a, b = reflect_segment(first, line), reflect_segment(second, line)
+            c = _position(a)
+            part = (c, swapped) if _position(b) > c else (c - len(body) + 1, swapped[::-1])
+            writes.setdefault(line_of(a), []).append(part)
 
-    # Mirror the central contents (creases included) into each flap;
-    # images landing on the new outer boundary are not creases.
-    snapshot = list(colors.items())
-    for d in (1, 2, 3):
-        mirror = Line(d, mid_value)
-        for seg, col in snapshot:
-            image = reflect_segment(seg, mirror)
-            if image != seg and big.contains_interior(image):
-                colors[image] = col.swapped
-    return PatternPatch(big, colors)
+    def emit(d: int, v: int, t0: int, cells: bytearray) -> Optional[bytearray]:
+        if v == mid_value:
+            return bytearray(creases[d - 1] * len(cells))
+        parts = writes.get((d, v))
+        if parts is None:
+            return None
+        for start, body in parts:
+            cells[start - t0:start - t0 + len(body)] = body
+        return cells
+
+    through_lines(patch.region, patch.colors.interior(), mirror)
+    return PatternPatch(big, WindowColors(big, through_lines(big, None, emit)))
 
 
 def unfold_pattern(folds: list[MixedFold]) -> PatternPatch:

@@ -13,14 +13,19 @@ line form of the library's vertex and segment reflections.  Matrix
 products and ranks are taken over plain `Fraction`s, with no integer
 shortcuts.  Pattern windows are painted into plain dicts one segment
 at a time with `color_of_segment`, and recolored, filtered and
-translated one segment at a time.
+translated one segment at a time.  The unfolder and the substituter
+keep their segment-at-a-time forms: ``dict_unfold_once`` reflects
+every segment with ``reflect_segment`` and keeps the images that
+``contains_interior`` accepts, and ``dict_apply_rule_patch`` places
+each tile's four children as triangles and writes their
+``side_segments`` into a dict.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from trifold.errors import OutOfRegion
-from trifold.folding import Color, FoldingSequence, color_of_segment
+from trifold.errors import OutOfRegion, SeamConflict
+from trifold.folding import UP, Color, FoldingSequence, PatternPatch, color_of_segment
 from trifold.lattice import (
     NEGATIVE,
     POSITIVE,
@@ -31,9 +36,12 @@ from trifold.lattice import (
     Vertex,
     layer_data,
     layer_of,
+    reflect_segment,
     seg_between,
+    standard_region,
     unit_tile_segments,
 )
+from trifold.substitution import medial_color
 
 
 def v2_slow(n: int) -> int:
@@ -251,8 +259,12 @@ def dict_filter_layer(colors, k: int) -> dict[Seg, Color]:
     return {s: c for s, c in colors.items() if layer_of(s) == k}
 
 
+def translate_segment(seg: Seg, a: int, b: int) -> Seg:
+    return Seg(seg.d, seg.p + a, seg.q + b)
+
+
 def dict_translate(colors, a: int, b: int) -> dict[Seg, Color]:
-    return {Seg(s.d, s.p + a, s.q + b): c for s, c in colors.items()}
+    return {translate_segment(s, a, b): c for s, c in colors.items()}
 
 
 def tiles_by_lookup(colors, anchors) -> dict[tuple[int, int, int], tuple[Color, Color, Color]]:
@@ -285,3 +297,62 @@ def dict_period_check(interior: dict, max_norm: int) -> list[tuple[int, int]]:
                        for s, c in interior.items()):
                     out.append((a, b))
     return out
+
+
+def dict_unfold_once(patch: PatternPatch, fold) -> PatternPatch:
+    """One unfolding step a segment at a time: the old sides become the
+    creases of their flaps, and every colored segment of the central
+    patch is reflected across each side line, color-swapped, wherever
+    the image is a new interior segment."""
+    m = patch.region.side.bit_length() - 1
+    big = standard_region(m + 1)
+    mid_value = (-2) ** m
+
+    colors = dict(patch.interior_items())
+    for seg in patch.region.iter_boundary_segments():
+        colors[seg] = Color.RED if fold[seg.d - 1] == UP else Color.BLUE
+
+    snapshot = list(colors.items())
+    for d in (1, 2, 3):
+        mirror = Line(d, mid_value)
+        for seg, col in snapshot:
+            image = reflect_segment(seg, mirror)
+            if image != seg and big.contains_interior(image):
+                colors[image] = col.swapped
+    return PatternPatch(big, colors)
+
+
+def _placed_children(rule: str, tri: Triangle, cols, anchor):
+    """The four children of a unit tile doubled about ``anchor`` (vertex
+    functionals), with their side colors: the medial one monochrome,
+    corner d sharing side d with it and swapping the tile's other
+    sides."""
+    o = tri.orientation
+    x = (2 * tri.v1 - anchor[0], 2 * tri.v2 - anchor[1], 2 * tri.v3 - anchor[2])
+    adj = -3 * o
+    mu = medial_color(rule, -o)
+    yield Triangle(x[0] + adj, x[1] + adj, x[2] + adj), (mu, mu, mu)
+    for d in (1, 2, 3):
+        vals = list(x)
+        vals[d - 1] += adj
+        child_cols = tuple(mu if e == d else cols[e - 1].swapped for e in (1, 2, 3))
+        yield Triangle(*vals), child_cols
+
+
+def dict_apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
+    """One inflation step a tile at a time, about the corner where the
+    direction-1 and direction-3 sides meet, into a dict that checks
+    every seam."""
+    region = patch.region
+    anchor = (region.w1, -region.w1 - region.w3, region.w3)
+    tiles = list(patch.full_tiles())
+    if len(tiles) != region.side * region.side:
+        raise ValueError("patch is not fully colored (boundary sides included)")
+    out: dict[Seg, Color] = {}
+    for tri, cols in tiles:
+        for child, child_cols in _placed_children(rule, tri, cols, anchor):
+            for seg, col in zip(child.side_segments(), child_cols):
+                prev = out.setdefault(seg, col)
+                if prev is not col:
+                    raise SeamConflict(f"{seg}: {prev.value} vs {col.value}")
+    return PatternPatch(TriRegion(*(2 * w - a for w, a in zip(region, anchor))), out)

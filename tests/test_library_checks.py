@@ -32,3 +32,17 @@ def test_spectral_has_no_floats_or_argument_caches():
                    or node.args.vararg or node.args.kwarg)
               and any("cache" in ast.unparse(d) for d in node.decorator_list)]
     assert cached == []
+
+
+def test_oracle_generators_never_meet_the_closed_form():
+    # the unfolder and the substituter check the closed form, so neither
+    # may reach its layer rule or its painter
+    closed_form = {"layer_kernel", "layer_data", "_paint", "_layer_colors",
+                   "color_of_segment", "patch"}
+    for name in ("unfold.py", "substitution.py"):
+        path = Path(trifold.__file__).parent / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert used & closed_form == set(), name

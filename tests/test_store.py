@@ -19,6 +19,7 @@ from oracles import (
     scan_ball,
     scan_region_tiles,
     tiles_by_lookup,
+    translate_segment,
 )
 from trifold.analysis import decorated_type_counts, filter_layer, period_check, tile_class_counts
 from trifold.errors import OutOfRegion, ParseError
@@ -100,7 +101,7 @@ def test_translate_recolor_and_filter_layer_match_dict_oracles():
         moved = p.translate(a, b)
         assert moved.region == TriRegion(*Triangle(*p.region).translate(a, b))
         assert moved.colors == dict_translate(p.colors, a, b)
-        assert moved.boundary == frozenset(s.translate(a, b) for s in p.boundary)
+        assert moved.boundary == frozenset(translate_segment(s, a, b) for s in p.boundary)
 
     src = FoldingSequence("+--+-++")
     for window in (patch(src, 6), ball_patch(src, 9)):
