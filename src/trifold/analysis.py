@@ -19,16 +19,15 @@ from typing import Optional
 from .errors import WindowTooSmall
 from .folding import (
     NO_COLOR,
-    TILE_SIDES,
     UNCOLOR,
     PatternPatch,
     WindowColors,
     combine,
     through_lines,
 )
-from .lattice import NEGATIVE, POSITIVE, Seg, line_of, v2
+from .lattice import NEGATIVE, POSITIVE, SPOKES, Line, Seg, line_position, v2
 from .substitution import class_index
-from .tiling import decorate
+from .tiling import DECORATIONS
 
 
 def star_class(star: str) -> str:
@@ -59,17 +58,15 @@ _NONZERO_TO_64 = bytes([0] + [64] * 255)
 def vertex_star_histogram(patch: PatternPatch) -> dict[str, int]:
     """Star classes over vertices whose six segments are all interior.
 
-    The six spokes of the vertices on row q, counterclockwise from east,
-    are six shifted slices of the rows: Seg(1, p, q), Seg(3, p, q),
-    Seg(2, p-1, q+1), Seg(1, p-1, q), Seg(3, p, q-1) and Seg(2, p, q).
-    They combine into one 6-bit code per vertex; a vertex with an
-    uncolored spoke gets a code of 64 or more and is not counted.
+    The six spokes of the vertices on row q, counterclockwise from east
+    (lattice.SPOKES), are six shifted slices of the rows.  They combine
+    into one 6-bit code per vertex; a vertex with an uncolored spoke gets
+    a code of 64 or more and is not counted.
     """
-    r1, r2, r3 = patch.colors.interior()
-    spokes = ((r1, 0, 0), (r3, 0, 0), (r2, 1, -1), (r1, 0, -1), (r3, -1, 0), (r2, 0, 0))
+    interior = patch.colors.interior()
     found = []
-    for q in r1:
-        rows = [(by_q.get(q + dq), dp) for by_q, dq, dp in spokes]
+    for q in interior[0]:
+        rows = [(interior[d - 1].get(q + dq), dp) for d, dp, dq in SPOKES]
         if any(row is None for row, _ in rows):
             continue
         lo = max(first - dp for (first, _), dp in rows)
@@ -96,12 +93,6 @@ def disallowed_stars(patch: PatternPatch) -> dict[str, int]:
             if not star_allowed(s)}
 
 
-#: Translation type (orientation, red count, slot) of a tile code, per
-#: orientation; None when a side has no color.
-_TYPES = {o: tuple(None if sides is None else (o, *decorate(sides)) for sides in TILE_SIDES)
-          for o in (POSITIVE, NEGATIVE)}
-
-
 def decorated_type_counts(patch: PatternPatch) -> dict[tuple[int, int, Optional[int]], int]:
     """Counts per translation type (orientation, red count, decoration
     slot) over fully colored tiles; 16 types in all, 12 of them
@@ -113,11 +104,11 @@ def decorated_type_counts(patch: PatternPatch) -> dict[tuple[int, int, Optional[
     out: dict[tuple[int, int, Optional[int]], int] = {}
     for o, parts in rows.items():
         codes = b"".join(parts)
-        for code, key in enumerate(_TYPES[o]):
-            if key is not None:
+        for code, label in enumerate(DECORATIONS):
+            if label is not None:
                 count = codes.count(code)
                 if count:
-                    out[key] = out.get(key, 0) + count
+                    out[(o, *label)] = out.get((o, *label), 0) + count
     return out
 
 
@@ -188,13 +179,12 @@ def layer_block_check(patch: PatternPatch, k: int) -> bool:
     if not patch.region.contains_ball_of_radius(2 << k):
         raise WindowTooSmall(f"window too small for layer-{k} blocks")
     interior = patch.interior_colors()
-    by_line: dict[tuple[int, int], dict[int, Seg]] = {}
+    by_line: dict[Line, dict[int, Seg]] = {}
     for seg in interior:
-        line = line_of(seg)
-        if v2(line.v) != k - 1:
+        v, pos = line_position(seg)
+        if v2(v) != k - 1:
             continue
-        pos = seg.p if seg.d != 3 else seg.q
-        by_line.setdefault(line, {})[pos] = seg
+        by_line.setdefault(Line(seg.d, v), {})[pos] = seg
     for line, segs in by_line.items():
         for pos, seg in segs.items():
             nxt = segs.get(pos + 1)

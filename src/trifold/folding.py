@@ -30,13 +30,12 @@ from __future__ import annotations
 import enum
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm
 from typing import Callable, Optional
 
 from .errors import IncompatibleSequences, OutOfRegion
 from .lattice import (
-    POSITIVE,
+    TILE_SEGMENTS,
     BallRegion,
     Region,
     Seg,
@@ -44,6 +43,7 @@ from .lattice import (
     TriRegion,
     layer_data,
     layer_kernel,
+    line_position,
     standard_region,
     tile_rows,
     v2,
@@ -254,18 +254,12 @@ class WindowColors(Mapping):
         """(orientation, q, first, codes) per row of unit tiles: byte i is
         c1 + 4 c2 + 16 c3 for the tile at p = first + i, c_d the code of
         its direction-d side (see TILE_SIDES)."""
-        r1, r2, r3 = self.rows
         for o, q, first, stop in tile_rows(self.region.segment_rows()):
-            # positive (p, q): Seg(1, p, q), Seg(2, p, q+1), Seg(3, p, q);
-            # negative (p, q): Seg(1, p, q), Seg(2, p, q), Seg(3, p+1, q-1)
-            if o == POSITIVE:
-                sides = (r1[q], r2[q + 1], r3[q])
-                shifts = (0, 0, 0)
-            else:
-                sides = (r1[q], r2[q], r3[q - 1])
-                shifts = (0, 0, 1)
             n = stop - first
-            parts = [row[first + s - f:first + s - f + n] for (f, row), s in zip(sides, shifts)]
+            parts = []
+            for d, dp, dq in TILE_SEGMENTS[o]:
+                f, row = self.rows[d - 1][q + dq]
+                parts.append(row[first + dp - f:first + dp - f + n])
             yield o, q, first, combine(parts, (1, 4, 16), n)
 
 
@@ -312,10 +306,6 @@ class PatternPatch:
         if not (isinstance(colors, WindowColors) and colors.region == self.region):
             object.__setattr__(self, "colors", WindowColors.from_mapping(self.region, colors))
 
-    @cached_property
-    def boundary(self) -> frozenset[Seg]:
-        return frozenset(self.region.iter_boundary_segments())
-
     def interior_items(self) -> Iterator[tuple[Seg, Color]]:
         return iter_colored(self.colors.interior())
 
@@ -329,14 +319,6 @@ class PatternPatch:
         rows = tuple({q + b: (first + a, row) for q, (first, row) in r.items()}
                      for r in self.colors.rows)
         return PatternPatch(region, WindowColors(region, rows))
-
-    def full_tiles(self) -> Iterator[tuple[Triangle, tuple[Color, Color, Color]]]:
-        """(triangle, side colors) for tiles with all three sides known."""
-        for o, q, first, codes in self.colors.tile_codes():
-            for i, code in enumerate(codes):
-                sides = TILE_SIDES[code]
-                if sides is not None:
-                    yield Triangle.unit_from_anchor(o, first + i, q), sides
 
 
 def _layer_colors(seq: FoldingSequence, k: int) -> tuple[Color, Color]:
@@ -360,37 +342,37 @@ def through_lines(region: Region, rows: Optional[Rows],
                   line_fn: Callable[[int, int, int, bytearray], Optional[bytes]]) -> Rows:
     """The region's rows rebuilt one grid line at a time.
 
-    Per direction d, Seg(d, p, q) lies on the line of index L = q, p + q
-    or p (f_d = 1 - 3L, 3L - 2 or 1 - 3L) at position t = p, p or q;
-    every line is one layer.  The segments are laid out one line per
-    grid row, ``line_fn(d, v, t0, cells)`` returns the new bytes of the
-    line {f_d = v} (positions t0, t0 + 1, ...; None keeps them), and the
-    rows are read back: a store row is an extended slice of the grid
-    (step 1, width + 1 or width).  ``rows`` None starts from NO_COLOR;
-    cells off the window are never read back.
+    A segment lies at position t on the line {f_d = v} (``line_position``);
+    every line is one layer.  The segments are laid out one line per grid
+    row, v stepping by dv = 3 (f_2) or -3 (f_1, f_3) from row to row,
+    ``line_fn(d, v, t0, cells)`` returns the new bytes of the line
+    (positions t0, t0 + 1, ...; None keeps them), and the rows are read
+    back: a store row is an extended slice of the grid (step 1, width + 1
+    or width).  ``rows`` None starts from NO_COLOR; cells off the window
+    are never read back.
     """
     out = []
     for d, extents in enumerate(region.segment_rows(), start=1):
+        dv = 3 if d == 2 else -3
         # (line, position) of each row's first segment, and of its last
-        ends = {q: ((q, first), (q, stop - 1)) if d == 1 else
-                ((first + q, first), (stop - 1 + q, stop - 1)) if d == 2 else
-                ((first, q), (stop - 1, q)) for q, (first, stop) in extents.items()}
-        corners = [end for pair in ends.values() for end in pair] or [(0, 0)]
-        l0, t0 = min(L for L, _ in corners), min(t for _, t in corners)
+        ends = {q: (line_position((d, first, q)), line_position((d, stop - 1, q)))
+                for q, (first, stop) in extents.items()}
+        corners = [end for pair in ends.values() for end in pair] or [(1, 0)]
+        v0 = min((v for v, _ in corners), key=lambda v: v * dv)
+        t0 = min(t for _, t in corners)
         width = max(t for _, t in corners) - t0 + 1
         step = (1, width + 1, width)[d - 1]
-        grid = bytearray([NO_COLOR]) * ((max(L for L, _ in corners) - l0 + 1) * width)
+        grid = bytearray([NO_COLOR]) * ((max((v - v0) // dv for v, _ in corners) + 1) * width)
         cut = {}
         for q, (first, stop) in extents.items():
-            (L, t), _ = ends[q]
-            start = (L - l0) * width + t - t0
+            (v, t), _ = ends[q]
+            start = (v - v0) // dv * width + t - t0
             cut[q] = slice(start, start + step * (stop - first - 1) + 1, step)
         if rows is not None:
             for q, (_, row) in rows[d - 1].items():
                 grid[cut[q]] = row
         for i in range(0, len(grid), width):
-            L = l0 + i // width
-            cells = line_fn(d, 3 * L - 2 if d == 2 else 1 - 3 * L, t0, grid[i:i + width])
+            cells = line_fn(d, v0 + dv * (i // width), t0, grid[i:i + width])
             if cells is not None:
                 grid[i:i + width] = cells
         out.append({q: (first, bytes(grid[cut[q]])) for q, (first, _) in extents.items()})

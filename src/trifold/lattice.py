@@ -13,6 +13,12 @@ value has 2-adic valuation k-1 belongs to layer k; each layer splits
 into triangles of side 2^(k-1) and hexagons, and every unit segment of
 a layer-k line is the side of exactly one layer-k triangle.
 
+Unit-tile geometry is constant offset tables: a tile's vertices and
+sides (``TILE_VERTICES``, ``TILE_SEGMENTS``), a vertex's six spokes
+(``SPOKES``) and the six tiles around it with their outer sides
+(``AROUND``).  ``line_position`` and ``segment_at`` map a segment to
+its grid line and position there, and back.
+
 ``layer_kernel`` is the one implementation of the layer rule: given a
 line and the doubled midpoints of segments along it, it returns the
 layer and, per midpoint, the orientation of its layer triangle.  The
@@ -111,18 +117,30 @@ class Seg(NamedTuple):
         return (f1 - 3, f2 + 3, f3)
 
 
-def unit_tile_segments(o: int, p: int, q: int) -> tuple[Seg, Seg, Seg]:
+#: The unit tile at (p, q), per orientation: its vertices as (dp, dq)
+#: offsets and its sides, by direction, as (d, dp, dq) offsets.
+TILE_VERTICES = {POSITIVE: ((0, 0), (1, 0), (0, 1)), NEGATIVE: ((0, 0), (1, 0), (1, -1))}
+TILE_SEGMENTS = {POSITIVE: ((1, 0, 0), (2, 0, 1), (3, 0, 0)),
+                 NEGATIVE: ((1, 0, 0), (2, 0, 0), (3, 1, -1))}
+#: The six segments at a vertex, counterclockwise from east, as (d, dp, dq).
+SPOKES = ((1, 0, 0), (3, 0, 0), (2, -1, 1), (1, -1, 0), (3, 0, -1), (2, 0, 0))
+#: The six unit tiles around a vertex, counterclockwise: tile i, at the
+#: offset (orientation, dp, dq), lies between spokes i and i + 1, and its
+#: third side is the outer (d, dp, dq).
+AROUND = ((POSITIVE, 0, 0, (2, 0, 1)), (NEGATIVE, -1, 1, (1, -1, 1)),
+          (POSITIVE, -1, 0, (3, -1, 0)), (NEGATIVE, -1, 0, (2, -1, 0)),
+          (POSITIVE, 0, -1, (1, 0, -1)), (NEGATIVE, 0, 0, (3, 1, -1)))
+
+
+def unit_tile_segments(o: int, p: int, q: int) -> tuple[Seg, ...]:
     """Side segments (by direction) of the unit tile anchored at (p, q)."""
-    if o == POSITIVE:
-        return (Seg(1, p, q), Seg(2, p, q + 1), Seg(3, p, q))
-    return (Seg(1, p, q), Seg(2, p, q), Seg(3, p + 1, q - 1))
+    return tuple(Seg(d, p + dp, q + dq) for d, dp, dq in TILE_SEGMENTS[o])
 
 
 def incident_segments(vertex: Vertex) -> tuple[Seg, ...]:
     """The six unit segments at a vertex, counterclockwise from east."""
     p, q = vertex
-    return (Seg(1, p, q), Seg(3, p, q), Seg(2, p - 1, q + 1),
-            Seg(1, p - 1, q), Seg(3, p, q - 1), Seg(2, p, q))
+    return tuple(Seg(d, p + dp, q + dq) for d, dp, dq in SPOKES)
 
 
 def seg_between(u: Vertex, v: Vertex) -> Seg:
@@ -181,27 +199,32 @@ class Triangle(NamedTuple):
             return cls(1 - 3 * q, 3 * (p + q) + 1, 1 - 3 * p)
         return cls(1 - 3 * q, 3 * (p + q) - 2, -2 - 3 * p)
 
-    def side_segments(self) -> tuple[Seg, Seg, Seg]:
+    def side_segments(self) -> tuple[Seg, ...]:
         """The unit segments forming the sides of a unit triangle, by direction."""
         return unit_tile_segments(*self.anchor())
-
-    def vertices(self) -> tuple[Vertex, Vertex, Vertex]:
-        o, p, q = self.anchor()
-        if o == POSITIVE:
-            return (Vertex(p, q), Vertex(p + 1, q), Vertex(p, q + 1))
-        return (Vertex(p, q), Vertex(p + 1, q), Vertex(p + 1, q - 1))
 
     def translate(self, a: int, b: int) -> "Triangle":
         return Triangle(self.v1 - 3 * b, self.v2 + 3 * (a + b), self.v3 - 3 * a)
 
 
+def line_position(seg: tuple[int, int, int]) -> tuple[int, int]:
+    """(v, t): the segment (d, p, q) lies on the grid line {f_d = v} at
+    position t, p on lines of directions 1 and 2 and q on direction-3
+    lines."""
+    d, p, q = seg
+    return (1 - 3 * q, p) if d == 1 else (3 * (p + q) - 2, p) if d == 2 else (1 - 3 * p, q)
+
+
+def segment_at(d: int, v: int, t: int) -> Seg:
+    """The segment at position t on the grid line {f_d = v}; undoes
+    line_position."""
+    L = (v + 2) // 3 if d == 2 else (1 - v) // 3
+    return Seg(1, t, L) if d == 1 else Seg(2, t, L - t) if d == 2 else Seg(3, L, t)
+
+
 def line_of(seg: Seg) -> Line:
     """The grid line the segment lies on."""
-    if seg.d == 1:
-        return Line(1, 1 - 3 * seg.q)
-    if seg.d == 2:
-        return Line(2, 3 * (seg.p + seg.q) - 2)
-    return Line(3, 1 - 3 * seg.p)
+    return Line(seg.d, line_position(seg)[0])
 
 
 def layer_of(seg: Seg) -> int:
@@ -236,9 +259,8 @@ def layer_kernel(d: int, v: int, mids: Iterable[int]) -> tuple[int, list[bool]]:
 
 def layer_data(seg: Seg) -> tuple[int, bool]:
     """(layer k, layer-triangle-is-positive): layer_kernel on one segment."""
-    d, p, q = seg
-    v = 1 - 3 * q if d == 1 else 3 * (p + q) - 2 if d == 2 else 1 - 3 * p
-    k, (positive,) = layer_kernel(d, v, (-1 - 6 * (q if d == 3 else p),))
+    v, t = line_position(seg)
+    k, (positive,) = layer_kernel(seg.d, v, (-1 - 6 * t,))
     return k, positive
 
 

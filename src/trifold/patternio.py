@@ -9,7 +9,9 @@ directly: it rejects records off the region's row extents, records
 that repeat an earlier one, and flags that differ from the boundary its
 region header gives.  Tiling files carry ``orient p q red_count
 [slot]`` records, each a tile of the region when a header names one and
-none repeated.  Serialization is canonical, so read/write round trips
+none repeated; the writer and the tile renderer take each tile's anchor
+once and its corners and sides from the ``lattice`` tables.
+Serialization is canonical, so read/write round trips
 are byte identical.  Floats appear only in the SVG emitter, at a fixed
 four decimal places; segment coordinates come from integer positions,
 one text per x value and per row.
@@ -25,6 +27,7 @@ from .folding import BLUE_CODE, NO_COLOR, RED_CODE, Color, PatternPatch, WindowC
 from .lattice import (
     NEGATIVE,
     POSITIVE,
+    TILE_VERTICES,
     BallRegion,
     Region,
     Seg,
@@ -32,6 +35,7 @@ from .lattice import (
     Triangle,
     Vertex,
     standard_region,
+    unit_tile_segments,
 )
 from .tiling import DecoratedTile
 
@@ -209,16 +213,16 @@ def write_tiling(window: dict[Triangle, DecoratedTile], seq: str = "",
     lines = [TILING_MAGIC, f"seq {seq}"]
     if region is not None:
         lines.append(_region_header(region))
-    recs = []
-    for tile in window.values():
-        o, p, q = tile.triangle.anchor()
-        key = (0 if o == POSITIVE else 1, p, q)
+    for (o, p, q), tile in _by_anchor(window):
         rec = f"{'P' if o == POSITIVE else 'N'} {p} {q} {tile.red_count}"
-        if tile.decoration is not None:
-            rec += f" {tile.decoration}"
-        recs.append((key, rec))
-    lines.extend(rec for _, rec in sorted(recs))
+        lines.append(rec if tile.decoration is None else f"{rec} {tile.decoration}")
     return "\n".join(lines) + "\n"
+
+
+def _by_anchor(window: dict[Triangle, DecoratedTile]) -> list:
+    """(anchor, tile) pairs, positive tiles first, then by (p, q)."""
+    return sorted(((tri.anchor(), tile) for tri, tile in window.items()),
+                  key=lambda item: (-item[0][0], item[0][1], item[0][2]))
 
 
 def read_tiling(text: str) -> tuple[dict[Triangle, DecoratedTile], str]:
@@ -255,7 +259,7 @@ def read_tiling(text: str) -> tuple[dict[Triangle, DecoratedTile], str]:
         tri = Triangle.unit_from_anchor(*anchor)
         if tri in window:
             raise ParseError(f"tile {parts[0]} {p} {q} repeats an earlier record", no)
-        window[tri] = DecoratedTile(tri, count, slot)
+        window[tri] = DecoratedTile(count, slot)
     return window, seq
 
 
@@ -321,15 +325,11 @@ def render_svg(patch: PatternPatch) -> str:
 def render_tiling_svg(window: dict[Triangle, DecoratedTile]) -> str:
     """Tiles as filled triangles keyed by red count; decorations are
     dots near the marked side."""
-    recs = []
-    for tile in window.values():
-        o, p, q = tile.triangle.anchor()
-        recs.append(((0 if o == POSITIVE else 1, p, q), tile))
     body = []
     xs: list[float] = []
     ys: list[float] = []
-    for _, tile in sorted(recs, key=lambda r: r[0]):
-        verts = [v.xy() for v in tile.triangle.vertices()]
+    for (o, p, q), tile in _by_anchor(window):
+        verts = [Vertex(p + dp, q + dq).xy() for dp, dq in TILE_VERTICES[o]]
         pts = [(x * SCALE, -y * SCALE) for x, y in verts]
         xs.extend(x for x, _ in pts)
         ys.extend(y for _, y in pts)
@@ -338,7 +338,7 @@ def render_tiling_svg(window: dict[Triangle, DecoratedTile]) -> str:
         body.append(f'<polygon points="{path}" fill="{fill}" '
                     f'stroke="#444444" stroke-width="{_fmt(STROKE_WIDTH / 4)}"/>')
         if tile.decoration is not None:
-            side = tile.triangle.side_segments()[tile.decoration - 1]
+            side = unit_tile_segments(o, p, q)[tile.decoration - 1]
             a, b = side.endpoints()
             cx = sum(x for x, _ in pts) / 3
             cy = sum(y for _, y in pts) / 3

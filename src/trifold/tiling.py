@@ -10,6 +10,11 @@ the identified layer the six red counts force the spoke colors one
 step at a time, starting from a monochrome interior tile.  The
 procedure never consults line values or layer arithmetic, only the
 tile data itself.
+
+Tilings are keyed by unit ``Triangle``.  ``to_tiling`` labels tile codes
+through ``DECORATIONS``, the table the tile statistics share.
+``reconstruct`` turns each key into its anchor once, lists each tile's
+sides once and finds a hexagon by translating the ``lattice`` tables.
 """
 
 from __future__ import annotations
@@ -17,15 +22,25 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import Inconsistent, Undecidable
-from .folding import Color, PatternPatch
-from .lattice import NEGATIVE, POSITIVE, Line, Seg, Triangle, Vertex, incident_segments, line_of
+from .folding import TILE_SIDES, Color, PatternPatch
+from .lattice import (
+    AROUND,
+    TILE_VERTICES,
+    Line,
+    Seg,
+    Triangle,
+    Vertex,
+    incident_segments,
+    line_of,
+    line_position,
+    unit_tile_segments,
+)
 
 RED = Color.RED
 BLUE = Color.BLUE
 
 
 class DecoratedTile(NamedTuple):
-    triangle: Triangle
     red_count: int
     decoration: Optional[int]  # direction slot of the minority side
 
@@ -41,34 +56,33 @@ def decorate(cols: tuple[Color, Color, Color]) -> tuple[int, Optional[int]]:
     return reds, None
 
 
+#: The label (red count, slot) of a tile code (see folding.TILE_SIDES),
+#: or None when a side has no color.
+DECORATIONS = tuple(None if sides is None else DecoratedTile(*decorate(sides))
+                    for sides in TILE_SIDES)
+
+
 def to_tiling(patch: PatternPatch) -> dict[Triangle, DecoratedTile]:
     """Convert every fully colored unit triangle of the window."""
-    return {tri: DecoratedTile(tri, *decorate(cols))
-            for tri, cols in patch.full_tiles()}
+    window = {}
+    for o, q, first, codes in patch.colors.tile_codes():
+        for i, code in enumerate(codes):
+            label = DECORATIONS[code]
+            if label is not None:
+                window[Triangle.unit_from_anchor(o, first + i, q)] = label
+    return window
 
 
 def strip_decoration(window: dict[Triangle, DecoratedTile]) -> dict[Triangle, int]:
     return {tri: t.red_count for tri, t in window.items()}
 
 
-def _tiles_around(vertex: Vertex):
-    """The six unit tiles around a vertex in ccw order, each with its
-    two incident spokes and its outer side.
-
-    Spoke i and spoke i+1 belong to tile i; the spokes are listed ccw
-    starting from the direction-1 segment to the right of the vertex.
-    """
-    p, q = vertex
-    spokes = incident_segments(vertex)
-    anchors = ((POSITIVE, p, q), (NEGATIVE, p - 1, q + 1), (POSITIVE, p - 1, q),
-               (NEGATIVE, p - 1, q), (POSITIVE, p, q - 1), (NEGATIVE, p, q))
-    tiles = [Triangle.unit_from_anchor(*a) for a in anchors]
-    outer = []
-    for i, tri in enumerate(tiles):
-        side = [s for s in tri.side_segments()
-                if s != spokes[i] and s != spokes[(i + 1) % 6]]
-        outer.append(side[0])
-    return tiles, spokes, outer
+def _around(center: Vertex) -> tuple[list[tuple[int, int, int]], list[Seg]]:
+    """The anchors of the six tiles around a vertex and their outer
+    sides; tile i lies between spokes i and i + 1 of incident_segments."""
+    p, q = center
+    return ([(o, p + a, q + b) for o, a, b, _ in AROUND],
+            [Seg(d, p + a, q + b) for _, _, _, (d, a, b) in AROUND])
 
 
 def reconstruct(window: dict[Triangle, int],
@@ -83,6 +97,8 @@ def reconstruct(window: dict[Triangle, int],
     for tri, count in window.items():
         if not 0 <= count <= 3:
             raise Inconsistent(f"{tri}: red count {count} out of range")
+    counts = {tri.anchor(): count for tri, count in window.items()}
+    sides = {a: unit_tile_segments(*a) for a in counts}
 
     colors: dict[Seg, Color] = {}
 
@@ -94,77 +110,73 @@ def reconstruct(window: dict[Triangle, int],
             raise Inconsistent(f"{seg}: both colors forced")
 
     # 1. monochrome tiles know all their sides
-    for tri, count in window.items():
+    for a, count in counts.items():
         if count == 3 or count == 0:
             col = RED if count else BLUE
-            for seg in tri.side_segments():
+            for seg in sides[a]:
                 paint(seg, col)
 
     # 2. finest-layer lines show alternating runs of three
-    by_line: dict[Line, dict[int, Seg]] = {}
-    for tri in window:
-        for seg in tri.side_segments():
-            pos = seg.p if seg.d != 3 else seg.q
-            by_line.setdefault(line_of(seg), {})[pos] = seg
+    by_line: dict[tuple[int, int], dict[int, Seg]] = {}
+    for segs in sides.values():
+        for seg in segs:
+            v, pos = line_position(seg)
+            by_line.setdefault((seg.d, v), {})[pos] = seg
     finest_lines: set[Line] = set()
-    for line, segs in by_line.items():
+    for (d, v), segs in by_line.items():
         for pos, seg in segs.items():
             c0 = colors.get(seg)
             if c0 is None:
                 continue
-            left = segs.get(pos - 1)
-            right = segs.get(pos + 1)
-            if left is None or right is None:
-                continue
-            if (colors.get(left) is c0.swapped
-                    and colors.get(right) is c0.swapped):
-                finest_lines.add(line)
+            other = c0.swapped
+            if colors.get(segs.get(pos - 1)) is other and colors.get(segs.get(pos + 1)) is other:
+                finest_lines.add(Line(d, v))
                 break
 
     # 3. hexagons of the identified layer: centers are the vertices all
     # of whose surrounding outer sides lie on identified lines
-    pending = []
+    centers = []
     seen = set()
-    for tri in window:
-        for vert in tri.vertices():
-            if vert in seen:
+    for o, p, q in counts:
+        for dp, dq in TILE_VERTICES[o]:
+            center = Vertex(p + dp, q + dq)
+            if center in seen:
                 continue
-            seen.add(vert)
-            tiles, spokes, outer = _tiles_around(vert)
-            if any(t not in window for t in tiles):
-                continue
-            if any(line_of(s) not in finest_lines for s in outer):
-                continue
-            if any(colors.get(s) is None for s in outer):
-                continue
-            pending.append((tiles, spokes, outer))
+            seen.add(center)
+            tiles, outer = _around(center)
+            if (all(t in counts for t in tiles)
+                    and all(line_of(s) in finest_lines and s in colors for s in outer)):
+                centers.append(center)
 
-    for tiles, spokes, outer in pending:
-        counts = [window[t] for t in tiles]
+    for center in centers:
+        (tiles, outer), spokes = _around(center), incident_segments(center)
         progress = True
         while progress:
             progress = False
             for i in range(6):
-                sides = (outer[i], spokes[i], spokes[(i + 1) % 6])
-                known = [colors.get(s) for s in sides]
+                sides_i = (outer[i], spokes[i], spokes[(i + 1) % 6])
+                known = [colors.get(s) for s in sides_i]
                 reds = sum(c is RED for c in known)
-                missing = [s for s, c in zip(sides, known) if c is None]
+                missing = [s for s, c in zip(sides_i, known) if c is None]
+                count = counts[tiles[i]]
                 if not missing:
-                    if reds != counts[i]:
-                        raise Inconsistent(f"tile {tiles[i]}: red count mismatch")
+                    if reds != count:
+                        raise Inconsistent(f"tile {Triangle.unit_from_anchor(*tiles[i])}: "
+                                           "red count mismatch")
                     continue
                 if len(missing) == 1:
-                    need = counts[i] - reds
+                    need = count - reds
                     if need not in (0, 1):
-                        raise Inconsistent(f"tile {tiles[i]}: red count {counts[i]} impossible")
+                        raise Inconsistent(f"tile {Triangle.unit_from_anchor(*tiles[i])}: "
+                                           f"red count {count} impossible")
                     paint(missing[0], RED if need else BLUE)
                     progress = True
 
     # 4. every fully recovered tile must agree with its count
-    for tri, count in window.items():
-        known = [colors.get(s) for s in tri.side_segments()]
+    for a, count in counts.items():
+        known = [colors.get(s) for s in sides[a]]
         if None not in known and sum(c is RED for c in known) != count:
-            raise Inconsistent(f"tile {tri}: red count mismatch")
+            raise Inconsistent(f"tile {Triangle.unit_from_anchor(*a)}: red count mismatch")
 
     if targets is None:
         return colors

@@ -28,7 +28,7 @@ from .folding import (
     WindowColors,
     through_lines,
 )
-from .lattice import Line, Seg, TriRegion, line_of, reflect_segment, standard_region
+from .lattice import Line, TriRegion, line_position, reflect_segment, segment_at, standard_region
 
 _NONE = bytes([NO_COLOR])
 
@@ -66,16 +66,6 @@ def _patch_exponent(region) -> int:
     raise OrientationMismatch(f"{region} is not a centered side-2^m patch")
 
 
-def _segment_at(d: int, v: int, t: int) -> Seg:
-    """The segment at position t on the grid line {f_d = v}."""
-    L = (v + 2) // 3 if d == 2 else (1 - v) // 3
-    return Seg(1, t, L) if d == 1 else Seg(2, t, L - t) if d == 2 else Seg(3, L, t)
-
-
-def _position(seg: Seg) -> int:
-    return seg.q if seg.d == 3 else seg.p
-
-
 def unfold_once(patch: PatternPatch, fold: MixedFold) -> PatternPatch:
     """Open one elementary (possibly mixed) folding: side 2^m -> 2^(m+1).
 
@@ -100,12 +90,13 @@ def unfold_once(patch: PatternPatch, fold: MixedFold) -> PatternPatch:
         start, body = t0 + lo, bytes(cells[lo:hi])
         writes.setdefault((d, v), []).append((start, body))
         swapped = body.translate(SWAP)
-        first, second = _segment_at(d, v, start), _segment_at(d, v, start + 1)
+        first, second = segment_at(d, v, start), segment_at(d, v, start + 1)
         for line in mirrors:
-            a, b = reflect_segment(first, line), reflect_segment(second, line)
-            c = _position(a)
-            part = (c, swapped) if _position(b) > c else (c - len(body) + 1, swapped[::-1])
-            writes.setdefault(line_of(a), []).append(part)
+            image = reflect_segment(first, line)
+            w, c = line_position(image)
+            _, c2 = line_position(reflect_segment(second, line))
+            part = (c, swapped) if c2 > c else (c - len(body) + 1, swapped[::-1])
+            writes.setdefault((image.d, w), []).append(part)
 
     def emit(d: int, v: int, t0: int, cells: bytearray) -> Optional[bytearray]:
         if v == mid_value:

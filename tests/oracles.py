@@ -18,14 +18,17 @@ keep their segment-at-a-time forms: ``dict_unfold_once`` reflects
 every segment with ``reflect_segment`` and keeps the images that
 ``contains_interior`` accepts, and ``dict_apply_rule_patch`` places
 each tile's four children as triangles and writes their
-``side_segments`` into a dict.
+``side_segments`` into a dict.  ``full_tiles`` decodes a window's tile
+codes into (triangle, side colors) pairs.  ``dict_reconstruct`` is the
+Triangle-keyed reconstruction: it builds the six triangles around each
+vertex and filters their ``side_segments`` against the spokes.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from trifold.errors import OutOfRegion, SeamConflict
-from trifold.folding import UP, Color, FoldingSequence, PatternPatch, color_of_segment
+from trifold.errors import Inconsistent, OutOfRegion, SeamConflict, Undecidable
+from trifold.folding import TILE_SIDES, UP, Color, FoldingSequence, PatternPatch, color_of_segment
 from trifold.lattice import (
     NEGATIVE,
     POSITIVE,
@@ -34,8 +37,10 @@ from trifold.lattice import (
     Triangle,
     TriRegion,
     Vertex,
+    incident_segments,
     layer_data,
     layer_of,
+    line_of,
     reflect_segment,
     seg_between,
     standard_region,
@@ -345,7 +350,7 @@ def dict_apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
     every seam."""
     region = patch.region
     anchor = (region.w1, -region.w1 - region.w3, region.w3)
-    tiles = list(patch.full_tiles())
+    tiles = list(full_tiles(patch))
     if len(tiles) != region.side * region.side:
         raise ValueError("patch is not fully colored (boundary sides included)")
     out: dict[Seg, Color] = {}
@@ -356,3 +361,140 @@ def dict_apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
                 if prev is not col:
                     raise SeamConflict(f"{seg}: {prev.value} vs {col.value}")
     return PatternPatch(TriRegion(*(2 * w - a for w, a in zip(region, anchor))), out)
+
+
+def full_tiles(patch: PatternPatch):
+    """(triangle, side colors) for tiles with all three sides known."""
+    for o, q, first, codes in patch.colors.tile_codes():
+        for i, code in enumerate(codes):
+            sides = TILE_SIDES[code]
+            if sides is not None:
+                yield Triangle.unit_from_anchor(o, first + i, q), sides
+
+
+def unit_vertices(tri: Triangle) -> tuple[Vertex, Vertex, Vertex]:
+    """The corners of a unit triangle, from its anchor."""
+    o, p, q = tri.anchor()
+    if o == POSITIVE:
+        return (Vertex(p, q), Vertex(p + 1, q), Vertex(p, q + 1))
+    return (Vertex(p, q), Vertex(p + 1, q), Vertex(p + 1, q - 1))
+
+
+def tiles_around(vertex: Vertex):
+    """The six unit tiles around a vertex in ccw order, each with its
+    two incident spokes and its outer side.
+
+    Spoke i and spoke i+1 belong to tile i; the spokes are listed ccw
+    starting from the direction-1 segment to the right of the vertex.
+    """
+    p, q = vertex
+    spokes = incident_segments(vertex)
+    anchors = ((POSITIVE, p, q), (NEGATIVE, p - 1, q + 1), (POSITIVE, p - 1, q),
+               (NEGATIVE, p - 1, q), (POSITIVE, p, q - 1), (NEGATIVE, p, q))
+    tiles = [Triangle.unit_from_anchor(*a) for a in anchors]
+    outer = []
+    for i, tri in enumerate(tiles):
+        side = [s for s in tri.side_segments()
+                if s != spokes[i] and s != spokes[(i + 1) % 6]]
+        outer.append(side[0])
+    return tiles, spokes, outer
+
+
+def dict_reconstruct(window: dict[Triangle, int], targets=None) -> dict[Seg, Color]:
+    """Local reconstruction on Triangle keys, a tile's sides and vertices
+    recomputed wherever they are needed."""
+    RED, BLUE = Color.RED, Color.BLUE
+    for tri, count in window.items():
+        if not 0 <= count <= 3:
+            raise Inconsistent(f"{tri}: red count {count} out of range")
+
+    colors: dict[Seg, Color] = {}
+
+    def paint(seg: Seg, col: Color):
+        prev = colors.get(seg)
+        if prev is None:
+            colors[seg] = col
+        elif prev is not col:
+            raise Inconsistent(f"{seg}: both colors forced")
+
+    # 1. monochrome tiles know all their sides
+    for tri, count in window.items():
+        if count == 3 or count == 0:
+            col = RED if count else BLUE
+            for seg in tri.side_segments():
+                paint(seg, col)
+
+    # 2. finest-layer lines show alternating runs of three
+    by_line: dict[Line, dict[int, Seg]] = {}
+    for tri in window:
+        for seg in tri.side_segments():
+            pos = seg.p if seg.d != 3 else seg.q
+            by_line.setdefault(line_of(seg), {})[pos] = seg
+    finest_lines: set[Line] = set()
+    for line, segs in by_line.items():
+        for pos, seg in segs.items():
+            c0 = colors.get(seg)
+            if c0 is None:
+                continue
+            left = segs.get(pos - 1)
+            right = segs.get(pos + 1)
+            if left is None or right is None:
+                continue
+            if (colors.get(left) is c0.swapped
+                    and colors.get(right) is c0.swapped):
+                finest_lines.add(line)
+                break
+
+    # 3. hexagons of the identified layer
+    pending = []
+    seen = set()
+    for tri in window:
+        for vert in unit_vertices(tri):
+            if vert in seen:
+                continue
+            seen.add(vert)
+            tiles, spokes, outer = tiles_around(vert)
+            if any(t not in window for t in tiles):
+                continue
+            if any(line_of(s) not in finest_lines for s in outer):
+                continue
+            if any(colors.get(s) is None for s in outer):
+                continue
+            pending.append((tiles, spokes, outer))
+
+    for tiles, spokes, outer in pending:
+        counts = [window[t] for t in tiles]
+        progress = True
+        while progress:
+            progress = False
+            for i in range(6):
+                sides = (outer[i], spokes[i], spokes[(i + 1) % 6])
+                known = [colors.get(s) for s in sides]
+                reds = sum(c is RED for c in known)
+                missing = [s for s, c in zip(sides, known) if c is None]
+                if not missing:
+                    if reds != counts[i]:
+                        raise Inconsistent(f"tile {tiles[i]}: red count mismatch")
+                    continue
+                if len(missing) == 1:
+                    need = counts[i] - reds
+                    if need not in (0, 1):
+                        raise Inconsistent(f"tile {tiles[i]}: red count {counts[i]} impossible")
+                    paint(missing[0], RED if need else BLUE)
+                    progress = True
+
+    # 4. every fully recovered tile must agree with its count
+    for tri, count in window.items():
+        known = [colors.get(s) for s in tri.side_segments()]
+        if None not in known and sum(c is RED for c in known) != count:
+            raise Inconsistent(f"tile {tri}: red count mismatch")
+
+    if targets is None:
+        return colors
+    result = {}
+    for seg in targets:
+        col = colors.get(seg)
+        if col is None:
+            raise Undecidable(f"{seg} cannot be settled in this window")
+        result[seg] = col
+    return result

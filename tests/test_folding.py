@@ -73,18 +73,19 @@ def test_patch_size_one():
     assert set(interior) == {Seg(1, 0, 0), Seg(2, 0, 1), Seg(3, 0, 0)}
     assert all(c is Color.RED for c in interior.values())
     # |S| = k leaves the boundary unknown
-    assert all(s not in p.colors for s in p.boundary)
+    assert all(s not in p.colors for s in p.region.iter_boundary_segments())
 
 
 def test_patch_zero_empty_interior():
     p = patch(ALL_UP, 0)
     assert not p.interior_colors()
-    assert len(p.boundary) == 3 and all(s in p.colors for s in p.boundary)
+    boundary = set(p.region.iter_boundary_segments())
+    assert len(boundary) == 3 and all(s in p.colors for s in boundary)
 
 
 def test_patch_boundary_colored_when_next_fold_known():
     p = patch(FoldingSequence("++"), 1)
-    assert all(s in p.colors for s in p.boundary)
+    assert all(s in p.colors for s in p.region.iter_boundary_segments())
 
 
 def test_central_pattern_stability():
@@ -118,8 +119,9 @@ def test_pattern_has_threefold_symmetry():
 def test_ball_patch_layers_match_triangle_patch():
     pb = ball_patch(FoldingSequence.parse("(+--)*"), 12)
     pt = patch(FoldingSequence.parse("(+--)*"), 6)
+    boundary = set(pt.region.iter_boundary_segments())
     for seg, col in pb.colors.items():
-        if seg in pt.colors and seg not in pt.boundary:
+        if seg in pt.colors and seg not in boundary:
             assert pt.colors[seg] is col
 
 
@@ -182,16 +184,18 @@ def test_patch_matches_per_segment_colors(seq):
         p = patch(seq, k)
         region = standard_region(k)
         want = {s: color_of_segment(seq, s) for s in region.iter_interior_segments()}
-        assert p.boundary == frozenset(region.iter_boundary_segments())
-        want.update((s, color_of_segment(seq, s)) for s in p.boundary)
+        want.update((s, color_of_segment(seq, s)) for s in region.iter_boundary_segments())
         assert p.colors == want
 
 
 def test_patch_boundary_comes_from_region():
     assert [f.name for f in dataclasses.fields(PatternPatch)] == ["region", "colors"]
-    for region in (standard_region(3), TriRegion(7, -14, 22)):
-        assert PatternPatch(region, {}).boundary == frozenset(region.iter_boundary_segments())
-    assert PatternPatch(BallRegion(4), {}).boundary == frozenset()
+    # the interior leaves out exactly the region's side segments
+    for region in (standard_region(3), TriRegion(7, -14, 22), BallRegion(4)):
+        every = {s: Color.RED for r in (region.iter_interior_segments(),
+                                         region.iter_boundary_segments()) for s in r}
+        left_out = every.keys() - PatternPatch(region, every).interior_colors().keys()
+        assert left_out == set(region.iter_boundary_segments())
 
 
 def test_line_alternation_blocks():

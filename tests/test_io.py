@@ -21,7 +21,7 @@ def test_pattern_roundtrip_triangle():
     assert seq == "(+-)*"
     assert q.region == p.region
     assert q.colors == p.colors
-    assert q.boundary == p.boundary
+    assert set(q.region.iter_boundary_segments()) == set(p.region.iter_boundary_segments())
     assert write_pattern(q, seq) == text  # byte-identical reserialization
 
 
@@ -30,7 +30,8 @@ def test_pattern_roundtrip_ball_and_unknown_boundary():
     text = write_pattern(p, "+++")
     assert " unknown *" in text
     q, _ = read_pattern(text)
-    assert q.colors == p.colors and q.boundary == p.boundary
+    assert q.colors == p.colors
+    assert set(q.region.iter_boundary_segments()) == set(p.region.iter_boundary_segments())
 
     b = ball_patch(FoldingSequence.parse("(+)*"), 6)
     text = write_pattern(b, "(+)*")
@@ -115,13 +116,14 @@ def test_pattern_rejects_records_outside_region(record):
 def test_pattern_region_check_follows_line_extents():
     # every segment of the window's rows, and nothing next to it, reads back
     for p in (patch(FoldingSequence.parse("(+-)*"), 3), ball_patch(FoldingSequence.parse("(+)*"), 5)):
+        boundary = set(p.region.iter_boundary_segments())
         text = write_pattern(p, "s")
         assert read_pattern(text)[0].colors == p.colors
         for seg in p.colors:
             for d in (1, 2, 3):
                 for dp, dq in ((1, 0), (0, 1), (-1, 0), (0, -1)):
                     near = Seg(d, seg.p + dp, seg.q + dq)
-                    if near in p.colors or near in p.boundary:
+                    if near in p.colors or near in boundary:
                         continue
                     with pytest.raises(ParseError):
                         read_pattern(text + f"{near.d} {near.p} {near.q} red\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,26 +12,33 @@ from oracles import (
     scan_ball,
     scan_region_segments,
     scan_region_tiles,
+    unit_vertices,
     v2_slow,
 )
 from trifold.errors import MalformedLayer
 from trifold.lattice import (
+    AROUND,
     NEGATIVE,
     POSITIVE,
+    TILE_VERTICES,
     BallRegion,
     Line,
     Seg,
     Triangle,
     TriRegion,
     Vertex,
+    incident_segments,
     layer_data,
     layer_kernel,
     layer_of,
     line_of,
+    line_position,
     reflect_segment,
     reflect_vertex,
     seg_between,
+    segment_at,
     standard_region,
+    unit_tile_segments,
     v2,
 )
 
@@ -49,10 +57,43 @@ def test_vertex_functional_identities():
 def test_t0_is_unit_positive_centered():
     t0 = Triangle(1, 1, 1)
     assert t0.orientation == POSITIVE and t0.side == 1
-    assert t0.vertices() == (Vertex(0, 0), Vertex(1, 0), Vertex(0, 1))
-    xs = [v.xy() for v in t0.vertices()]
+    assert unit_vertices(t0) == (Vertex(0, 0), Vertex(1, 0), Vertex(0, 1))
+    xs = [v.xy() for v in unit_vertices(t0)]
     assert abs(sum(x for x, _ in xs)) < 1e-12
     assert abs(sum(y for _, y in xs)) < 1e-12
+
+
+def test_tile_tables_fit_together():
+    center = Vertex(0, 0)
+    ccw = [Vertex(1, 0), Vertex(0, 1), Vertex(-1, 1), Vertex(-1, 0), Vertex(0, -1), Vertex(1, -1)]
+    spokes = incident_segments(center)
+    assert spokes == tuple(seg_between(center, v) for v in ccw)
+    for o in (POSITIVE, NEGATIVE):
+        tri = Triangle.unit_from_anchor(o, 2, -3)
+        corners = tuple(Vertex(2 + dp, -3 + dq) for dp, dq in TILE_VERTICES[o])
+        assert corners == unit_vertices(tri)
+        # a corner lies on exactly two of the triangle's side lines
+        assert len(set(corners)) == 3
+        assert all(sum(f == w for f, w in zip(v.functionals(), tri)) == 2 for v in corners)
+        sides = tri.side_segments()
+        assert [s.d for s in sides] == [1, 2, 3]
+        assert set(sides) == {seg_between(a, b) for a, b in itertools.combinations(corners, 2)}
+    # tile i around a vertex has the vertex as a corner, spokes i and
+    # i + 1 and its outer side as its sides
+    for i, (o, a, b, outer) in enumerate(AROUND):
+        assert center in unit_vertices(Triangle.unit_from_anchor(o, a, b))
+        assert set(unit_tile_segments(o, a, b)) == {spokes[i], spokes[(i + 1) % 6], Seg(*outer)}
+    assert len({(o, a, b) for o, a, b, _ in AROUND}) == 6
+
+
+def test_line_position_and_segment_at_are_inverse():
+    for _ in range(300):
+        seg = Seg(RNG.randint(1, 3), RNG.randint(-40, 40), RNG.randint(-40, 40))
+        v, t = line_position(seg)
+        assert line_of(seg) == Line(seg.d, v) and segment_at(seg.d, v, t) == seg
+        # the next position along the line is the adjacent segment on it
+        nxt = segment_at(seg.d, v, t + 1)
+        assert line_of(nxt) == line_of(seg) and set(seg.endpoints()) & set(nxt.endpoints())
 
 
 def test_line_of_examples():

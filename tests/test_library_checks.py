@@ -1,5 +1,7 @@
 """Library checks must survive ``python -O``, which strips assert statements;
-the spectral core stays exact and keeps no per-word state between calls."""
+the spectral core stays exact and keeps no per-word state between calls;
+the oracle generators and the tiling reconstruction stay apart from the
+closed form."""
 
 import ast
 from pathlib import Path
@@ -34,15 +36,27 @@ def test_spectral_has_no_floats_or_argument_caches():
     assert cached == []
 
 
+def _names_used(name: str) -> set[str]:
+    """Names a library module imports with ``from`` or reads as attributes."""
+    path = Path(trifold.__file__).parent / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    return used | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_oracle_generators_never_meet_the_closed_form():
     # the unfolder and the substituter check the closed form, so neither
     # may reach its layer rule or its painter
     closed_form = {"layer_kernel", "layer_data", "_paint", "_layer_colors",
                    "color_of_segment", "patch"}
     for name in ("unfold.py", "substitution.py"):
-        path = Path(trifold.__file__).parent / name
-        tree = ast.parse(path.read_text(), filename=str(path))
-        used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert used & closed_form == set(), name
+        assert _names_used(name) & closed_form == set(), name
+
+
+def test_reconstruction_is_local():
+    # reconstruct rebuilds colors from red counts alone: no layer
+    # arithmetic and no closed-form pattern may reach tiling.py
+    closed_form = {"layer_of", "layer_data", "layer_kernel", "v2", "color_of_segment",
+                   "patch", "ball_patch", "_paint"}
+    assert _names_used("tiling.py") & closed_form == set()

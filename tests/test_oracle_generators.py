@@ -122,7 +122,7 @@ def test_an_unswapped_corner_side_raises_seam_conflict(monkeypatch):
     # a tile whose direction-2 side another tile shares
     o, q, first, codes = next(
         (o, q, first, codes) for o, q, first, codes in window.colors.tile_codes()
-        if unit_tile_segments(o, first, q)[1] not in window.boundary)
+        if unit_tile_segments(o, first, q)[1] not in set(window.region.iter_boundary_segments()))
     code = codes[0]
     table = list(substitution._child_writes("+", o))
     writes = list(table[code])

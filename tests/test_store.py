@@ -16,6 +16,7 @@ from oracles import (
     dict_period_check,
     dict_recolor,
     dict_translate,
+    full_tiles,
     scan_ball,
     scan_region_tiles,
     tiles_by_lookup,
@@ -36,7 +37,7 @@ from trifold.folding import (
 from trifold.lattice import BallRegion, Seg, Triangle, TriRegion, standard_region
 from trifold.patternio import read_pattern, write_pattern
 from trifold.substitution import class_index
-from trifold.tiling import decorate
+from trifold.tiling import decorate, to_tiling
 
 ALL_UP = FoldingSequence.parse("(+)*")
 
@@ -70,7 +71,7 @@ def test_view_equals_the_dict_it_replaces():
 
 def test_get_is_none_off_the_window_and_on_unknown_boundary():
     p = patch(FoldingSequence("+++"), 3)  # a_4 undefined: boundary unknown
-    for seg in p.boundary:
+    for seg in p.region.iter_boundary_segments():
         assert p.colors.get(seg) is None and seg not in p.colors
         with pytest.raises(KeyError):
             p.colors[seg]
@@ -101,7 +102,8 @@ def test_translate_recolor_and_filter_layer_match_dict_oracles():
         moved = p.translate(a, b)
         assert moved.region == TriRegion(*Triangle(*p.region).translate(a, b))
         assert moved.colors == dict_translate(p.colors, a, b)
-        assert moved.boundary == frozenset(translate_segment(s, a, b) for s in p.boundary)
+        assert set(moved.region.iter_boundary_segments()) == {
+            translate_segment(s, a, b) for s in p.region.iter_boundary_segments()}
 
     src = FoldingSequence("+--+-++")
     for window in (patch(src, 6), ball_patch(src, 9)):
@@ -168,7 +170,8 @@ def test_store_equals_the_dict_painter(window):
     want = dict_pattern(seq, region)
     assert p.colors == want
     assert dict(p.colors.items()) == want and len(p.colors) == len(want)
-    assert p.interior_colors() == {s: c for s, c in want.items() if s not in p.boundary}
+    boundary = set(region.iter_boundary_segments())
+    assert p.interior_colors() == {s: c for s, c in want.items() if s not in boundary}
 
 
 @exact
@@ -189,7 +192,9 @@ def test_tile_counts_equal_a_per_tile_count(window):
     anchors = scan_ball(region.radius)[1] if isinstance(region, BallRegion) else \
         scan_region_tiles(region)
     tiles = tiles_by_lookup(dict_pattern(seq, region), anchors)
-    assert {tri.anchor(): sides for tri, sides in p.full_tiles()} == tiles
+    assert {tri.anchor(): sides for tri, sides in full_tiles(p)} == tiles
+    assert {tri.anchor(): tuple(tile) for tri, tile in to_tiling(p).items()} == {
+        a: decorate(sides) for a, sides in tiles.items()}
     types = Counter((o, *decorate(sides)) for (o, _, _), sides in tiles.items())
     assert decorated_type_counts(p) == dict(types)
     classes = [0] * 8
@@ -227,7 +232,7 @@ def test_one_broken_record_only_raises_parse_error(window, how, pick, slot, toke
     if how == "delete":
         d, a, b = map(int, lines[i].split()[:3])
         gone = Seg(d, a, b)
-        assert gone not in p.boundary
+        assert gone not in set(p.region.iter_boundary_segments())
         assert back.colors == {s: c for s, c in p.colors.items() if s != gone}
 
 

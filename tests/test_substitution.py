@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import full_tiles
 from trifold.errors import OrientationMismatch
 from trifold.folding import Color, FoldingSequence, interior_mismatches, patch
 from trifold.lattice import NEGATIVE, POSITIVE, Triangle
@@ -86,21 +87,21 @@ def test_word_matrix_order():
 
 def test_seed_patch_positions():
     pos = seed_patch(ALL_RED_POSITIVE)
-    assert list(pos.full_tiles())[0][0] == Triangle(1, 1, 1)
+    assert list(full_tiles(pos))[0][0] == Triangle(1, 1, 1)
     neg = seed_patch(folding_seed(1))
-    assert list(neg.full_tiles())[0][0] == Triangle(1, -2, -2)
+    assert list(full_tiles(neg))[0][0] == Triangle(1, -2, -2)
 
 
 def test_single_application_swaps_outer_colors():
     stepped = apply_rule_patch("+", seed_patch(ALL_RED_POSITIVE))
     assert stepped.region.side == 2
-    outer = [stepped.colors[s] for s in stepped.boundary]
+    outer = [stepped.colors[s] for s in stepped.region.iter_boundary_segments()]
     assert outer and all(c is B for c in outer)
 
 
 def test_double_application_restores_outer_colors():
     p = apply_rule_patch("+", apply_rule_patch("+", seed_patch(ALL_RED_POSITIVE)))
-    assert all(p.colors[s] is R for s in p.boundary)
+    assert all(p.colors[s] is R for s in p.region.iter_boundary_segments())
 
 
 def test_double_plus_equals_pattern():
@@ -132,7 +133,7 @@ def test_compose_interior_is_seed_color_independent():
 
 def test_compose_zero_reps_returns_seed():
     p = compose("+", 0, ALL_RED_POSITIVE)
-    tiles = list(p.full_tiles())
+    tiles = list(full_tiles(p))
     assert len(tiles) == 1 and tiles[0][1] == (R, R, R)
 
 

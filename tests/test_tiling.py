@@ -1,7 +1,11 @@
 import random
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dict_reconstruct
 from trifold.errors import Inconsistent, Undecidable
 from trifold.folding import Color, FoldingSequence, ball_patch, patch
 from trifold.lattice import BallRegion, Seg, Triangle
@@ -16,8 +20,8 @@ def test_to_tiling_decoration_rules():
     window = to_tiling(p)
     t0 = Triangle(1, 1, 1)
     assert window[t0].red_count == 3 and window[t0].decoration is None
-    for tile in window.values():
-        cols = [p.colors[s] for s in tile.triangle.side_segments()]
+    for tri, tile in window.items():
+        cols = [p.colors[s] for s in tri.side_segments()]
         assert tile.red_count == sum(c is R for c in cols)
         if tile.red_count in (0, 3):
             assert tile.decoration is None
@@ -119,18 +123,19 @@ def test_hexagon_spokes_uniquely_determined():
     # brute force: inside each solved hexagon, exactly one of the 2^6
     # spoke colorings matches the six red counts and boundary colors
     import itertools
-    from trifold.tiling import _tiles_around
-    from trifold.lattice import Vertex
+    from trifold.lattice import AROUND, SPOKES, Vertex
 
     seq = FoldingSequence.parse("(+-)*")
     p = ball_patch(seq, 10)
-    window = strip_decoration(to_tiling(p))
+    window = {tri.anchor(): n for tri, n in strip_decoration(to_tiling(p)).items()}
     # hexagon centers are the vertices on no finest-layer line (all
     # functionals even, i.e. p and q both odd)
     centers = [Vertex(1, 1), Vertex(-1, 1), Vertex(1, -1)]
     assert all(all(x % 2 == 0 for x in v.functionals()) for v in centers)
-    for center in centers:
-        tiles, spokes, outer = _tiles_around(center)
+    for cp, cq in centers:
+        tiles = [(o, cp + a, cq + b) for o, a, b, _ in AROUND]
+        spokes = [Seg(d, cp + a, cq + b) for d, a, b in SPOKES]
+        outer = [Seg(d, cp + a, cq + b) for _, _, _, (d, a, b) in AROUND]
         solutions = 0
         for bits in itertools.product((R, B), repeat=6):
             ok = True
@@ -145,3 +150,39 @@ def test_hexagon_spokes_uniquely_determined():
                 assert bits == tuple(p.colors[s] for s in spokes)
         assert solutions == 1
 
+
+@st.composite
+def damaged_tilings(draw):
+    """A ball or triangle window of a periodic or finite word, as red
+    counts with up to two of them changed, and optional targets."""
+    word = draw(st.text(alphabet="+-", min_size=2, max_size=6))
+    periodic = draw(st.booleans())
+    seq = FoldingSequence(word, periodic=periodic)
+    if draw(st.booleans()):
+        # a finite word's ball must stay inside its side-2^n patch
+        top = 24 if periodic else isqrt(4 ** len(word) // 12)
+        window = ball_patch(seq, draw(st.integers(min(4, top), top)))
+    else:
+        window = patch(seq, draw(st.integers(2, 6 if periodic else len(word))))
+    tiles = strip_decoration(to_tiling(window))
+    keys = list(tiles)
+    for _ in range(draw(st.integers(0, 2)) if keys else 0):
+        key = keys[draw(st.integers(0, len(keys) - 1))]
+        tiles[key] = (tiles[key] + draw(st.integers(1, 3))) % 4
+    pool = [*window.colors, Seg(1, 99, 99)]
+    targets = draw(st.none() | st.lists(st.sampled_from(pool), max_size=12))
+    return tiles, targets
+
+
+def _outcome(fn, tiles, targets):
+    try:
+        return fn(dict(tiles), targets)
+    except (Inconsistent, Undecidable) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(damaged_tilings())
+def test_reconstruct_equals_the_triangle_oracle(case):
+    tiles, targets = case
+    assert _outcome(reconstruct, tiles, targets) == _outcome(dict_reconstruct, tiles, targets)

@@ -50,7 +50,7 @@ def test_unfold_preserves_central_part():
     for seg, col in small.interior_items():
         assert large.colors[seg] is col
     # the old boundary became the new crease, colored by the new fold
-    for seg in small.boundary:
+    for seg in small.region.iter_boundary_segments():
         assert large.colors[seg] is Color.RED
 
 
