@@ -27,7 +27,6 @@ from .lattice import (
     BallRegion,
     Line,
     Seg,
-    Triangle,
     TriRegion,
     Vertex,
     layer_of,

@@ -25,7 +25,7 @@ from .folding import (
     combine,
     through_lines,
 )
-from .lattice import NEGATIVE, POSITIVE, SPOKES, Line, Seg, line_position, v2
+from .lattice import NEGATIVE, POSITIVE, SPOKES, v2
 from .substitution import class_index
 from .tiling import DECORATIONS
 
@@ -86,11 +86,6 @@ def vertex_star_histogram(patch: PatternPatch) -> dict[str, int]:
             key = STAR_CLASSES[code]
             hist[key] = hist.get(key, 0) + count
     return hist
-
-
-def disallowed_stars(patch: PatternPatch) -> dict[str, int]:
-    return {s: n for s, n in vertex_star_histogram(patch).items()
-            if not star_allowed(s)}
 
 
 def decorated_type_counts(patch: PatternPatch) -> dict[tuple[int, int, Optional[int]], int]:
@@ -167,35 +162,3 @@ def filter_layer(patch: PatternPatch, k: int) -> PatternPatch:
 
     rows = through_lines(patch.region, patch.colors.rows, keep)
     return PatternPatch(patch.region, WindowColors(patch.region, rows))
-
-
-def layer_block_check(patch: PatternPatch, k: int) -> bool:
-    """True iff every layer-k line in the window alternates in
-    monochrome blocks of exactly 2^(k-1) unit segments.
-
-    Adjacent segments share a vertex; the block boundary falls exactly
-    where another layer-k line passes through that vertex.
-    """
-    if not patch.region.contains_ball_of_radius(2 << k):
-        raise WindowTooSmall(f"window too small for layer-{k} blocks")
-    interior = patch.interior_colors()
-    by_line: dict[Line, dict[int, Seg]] = {}
-    for seg in interior:
-        v, pos = line_position(seg)
-        if v2(v) != k - 1:
-            continue
-        by_line.setdefault(Line(seg.d, v), {})[pos] = seg
-    for line, segs in by_line.items():
-        for pos, seg in segs.items():
-            nxt = segs.get(pos + 1)
-            if nxt is None:
-                continue
-            f = seg.endpoints()[1].functionals()  # the shared vertex
-            boundary = any(v2(f[j]) == k - 1 for j in range(3)
-                           if j != line.d - 1)
-            same = interior[seg] is interior[nxt]
-            if same == boundary:
-                return False
-    return True
-
-

@@ -39,7 +39,6 @@ from .lattice import (
     BallRegion,
     Region,
     Seg,
-    Triangle,
     TriRegion,
     layer_data,
     layer_kernel,
@@ -306,16 +305,10 @@ class PatternPatch:
         if not (isinstance(colors, WindowColors) and colors.region == self.region):
             object.__setattr__(self, "colors", WindowColors.from_mapping(self.region, colors))
 
-    def interior_items(self) -> Iterator[tuple[Seg, Color]]:
-        return iter_colored(self.colors.interior())
-
-    def interior_colors(self) -> dict[Seg, Color]:
-        return dict(self.interior_items())
-
     def translate(self, a: int, b: int) -> "PatternPatch":
         if not isinstance(self.region, TriRegion):
             raise ValueError("only triangular patches translate")
-        region = TriRegion(*Triangle(*self.region).translate(a, b))
+        region = self.region.translate(a, b)
         rows = tuple({q + b: (first + a, row) for q, (first, row) in r.items()}
                      for r in self.colors.rows)
         return PatternPatch(region, WindowColors(region, rows))

@@ -13,11 +13,13 @@ value has 2-adic valuation k-1 belongs to layer k; each layer splits
 into triangles of side 2^(k-1) and hexagons, and every unit segment of
 a layer-k line is the side of exactly one layer-k triangle.
 
-Unit-tile geometry is constant offset tables: a tile's vertices and
-sides (``TILE_VERTICES``, ``TILE_SEGMENTS``), a vertex's six spokes
-(``SPOKES``) and the six tiles around it with their outer sides
-(``AROUND``).  ``line_position`` and ``segment_at`` map a segment to
-its grid line and position there, and back.
+A grid triangle of any size, a window or a layer triangle, is a
+``TriRegion`` of its three side values.  A unit tile is named by its
+anchor (orientation, p, q) alone, and its geometry is constant offset
+tables: its vertices and sides (``TILE_VERTICES``, ``TILE_SEGMENTS``),
+a vertex's six spokes (``SPOKES``) and the six tiles around it with
+their outer sides (``AROUND``).  ``line_position`` and ``segment_at``
+map a segment to its grid line and position there, and back.
 
 ``layer_kernel`` is the one implementation of the layer rule: given a
 line and the doubled midpoints of segments along it, it returns the
@@ -157,56 +159,6 @@ def seg_between(u: Vertex, v: Vertex) -> Seg:
     raise ValueError(f"{u} and {v} are not adjacent")
 
 
-class Triangle(NamedTuple):
-    """Grid triangle given by its three side line values (by direction).
-
-    The value sum is +3s for a positive (apex up) triangle of side s,
-    -3s for a negative one: a positive triangle is {f_d <= v_d}, a
-    negative one is {f_d >= v_d}.
-    """
-
-    v1: int
-    v2: int
-    v3: int
-
-    @property
-    def total(self) -> int:
-        return self.v1 + self.v2 + self.v3
-
-    @property
-    def orientation(self) -> int:
-        return POSITIVE if self.total > 0 else NEGATIVE
-
-    @property
-    def side(self) -> int:
-        return abs(self.total) // 3
-
-    def anchor(self) -> tuple[int, int, int]:
-        """(orientation, p, q) for a unit triangle.
-
-        Positive: vertices (p,q), (p+1,q), (p,q+1); negative: vertices
-        (p,q), (p+1,q), (p+1,q-1).
-        """
-        if self.total == 3:
-            return (POSITIVE, (1 - self.v3) // 3, (1 - self.v1) // 3)
-        if self.total == -3:
-            return (NEGATIVE, (-2 - self.v3) // 3, (1 - self.v1) // 3)
-        raise ValueError(f"{self} is not a unit triangle")
-
-    @classmethod
-    def unit_from_anchor(cls, orientation: int, p: int, q: int) -> "Triangle":
-        if orientation == POSITIVE:
-            return cls(1 - 3 * q, 3 * (p + q) + 1, 1 - 3 * p)
-        return cls(1 - 3 * q, 3 * (p + q) - 2, -2 - 3 * p)
-
-    def side_segments(self) -> tuple[Seg, ...]:
-        """The unit segments forming the sides of a unit triangle, by direction."""
-        return unit_tile_segments(*self.anchor())
-
-    def translate(self, a: int, b: int) -> "Triangle":
-        return Triangle(self.v1 - 3 * b, self.v2 + 3 * (a + b), self.v3 - 3 * a)
-
-
 def line_position(seg: tuple[int, int, int]) -> tuple[int, int]:
     """(v, t): the segment (d, p, q) lies on the grid line {f_d = v} at
     position t, p on lines of directions 1 and 2 and q on direction-3
@@ -340,7 +292,7 @@ def tile_rows(rows: Spans) -> Iterator[tuple[int, int, int, int]]:
 
 
 class TriRegion(NamedTuple):
-    """Triangular window with side lines (w1, w2, w3).
+    """Grid triangle, or triangular window, with side lines (w1, w2, w3).
 
     Positive (value sum +3*side) means {f_d <= w_d}; negative means
     {f_d >= w_d}.  The side lines are anchor row q1 = (1 - w1)/3, the
@@ -410,6 +362,10 @@ class TriRegion(NamedTuple):
 
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.side * self.side >= 12 * r * r
+
+    def translate(self, a: int, b: int) -> "TriRegion":
+        """The triangle moved by a steps along u and b along w."""
+        return TriRegion(self.w1 - 3 * b, self.w2 + 3 * (a + b), self.w3 - 3 * a)
 
     def erode(self, rows: int) -> "TriRegion":
         """Each side moved ``rows`` rows inward, taking 3 off the side per

@@ -9,8 +9,10 @@ directly: it rejects records off the region's row extents, records
 that repeat an earlier one, and flags that differ from the boundary its
 region header gives.  Tiling files carry ``orient p q red_count
 [slot]`` records, each a tile of the region when a header names one and
-none repeated; the writer and the tile renderer take each tile's anchor
-once and its corners and sides from the ``lattice`` tables.
+none repeated.  Tilings are keyed by the same anchors (orientation, p,
+q) the records carry, so the writer and the tile renderer sort the keys
+and take a tile's corners and sides from the ``lattice`` tables, and
+the reader keys each record by its own anchor.
 Serialization is canonical, so read/write round trips
 are byte identical.  Floats appear only in the SVG emitter, at a fixed
 four decimal places; segment coordinates come from integer positions,
@@ -32,12 +34,11 @@ from .lattice import (
     Region,
     Seg,
     TriRegion,
-    Triangle,
     Vertex,
     standard_region,
     unit_tile_segments,
 )
-from .tiling import DecoratedTile
+from .tiling import Anchor, DecoratedTile, tile_name
 
 PATTERN_MAGIC = "trifold-pattern v1"
 TILING_MAGIC = "trifold-tiling v1"
@@ -208,24 +209,23 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
     return PatternPatch(region, WindowColors(region, store)), seq
 
 
-def write_tiling(window: dict[Triangle, DecoratedTile], seq: str = "",
+def write_tiling(window: dict[Anchor, DecoratedTile], seq: str = "",
                  region: Region | None = None) -> str:
     lines = [TILING_MAGIC, f"seq {seq}"]
     if region is not None:
         lines.append(_region_header(region))
-    for (o, p, q), tile in _by_anchor(window):
-        rec = f"{'P' if o == POSITIVE else 'N'} {p} {q} {tile.red_count}"
+    for anchor, tile in _by_anchor(window):
+        rec = f"{tile_name(*anchor)} {tile.red_count}"
         lines.append(rec if tile.decoration is None else f"{rec} {tile.decoration}")
     return "\n".join(lines) + "\n"
 
 
-def _by_anchor(window: dict[Triangle, DecoratedTile]) -> list:
+def _by_anchor(window: dict[Anchor, DecoratedTile]) -> list[tuple[Anchor, DecoratedTile]]:
     """(anchor, tile) pairs, positive tiles first, then by (p, q)."""
-    return sorted(((tri.anchor(), tile) for tri, tile in window.items()),
-                  key=lambda item: (-item[0][0], item[0][1], item[0][2]))
+    return sorted(window.items(), key=lambda item: (-item[0][0], item[0][1], item[0][2]))
 
 
-def read_tiling(text: str) -> tuple[dict[Triangle, DecoratedTile], str]:
+def read_tiling(text: str) -> tuple[dict[Anchor, DecoratedTile], str]:
     lines = text.splitlines()
     if not lines or lines[0] != TILING_MAGIC:
         raise ParseError(f"expected {TILING_MAGIC!r} header", 1)
@@ -235,7 +235,7 @@ def read_tiling(text: str) -> tuple[dict[Triangle, DecoratedTile], str]:
     start, anchors = 2, None
     if len(lines) > 2 and lines[2].startswith("region"):
         start, anchors = 3, set(_parse_region(lines[2].split(), 3).iter_tile_anchors())
-    window: dict[Triangle, DecoratedTile] = {}
+    window: dict[Anchor, DecoratedTile] = {}
     for no, raw in enumerate(lines[start:], start=start + 1):
         if not raw.strip():
             continue
@@ -256,10 +256,9 @@ def read_tiling(text: str) -> tuple[dict[Triangle, DecoratedTile], str]:
         anchor = (POSITIVE if parts[0] == "P" else NEGATIVE, p, q)
         if anchors is not None and anchor not in anchors:
             raise ParseError(f"tile {raw!r} is outside the region", no)
-        tri = Triangle.unit_from_anchor(*anchor)
-        if tri in window:
+        if anchor in window:
             raise ParseError(f"tile {parts[0]} {p} {q} repeats an earlier record", no)
-        window[tri] = DecoratedTile(count, slot)
+        window[anchor] = DecoratedTile(count, slot)
     return window, seq
 
 
@@ -322,7 +321,7 @@ def render_svg(patch: PatternPatch) -> str:
     return _svg_document(body, xs, ys)
 
 
-def render_tiling_svg(window: dict[Triangle, DecoratedTile]) -> str:
+def render_tiling_svg(window: dict[Anchor, DecoratedTile]) -> str:
     """Tiles as filled triangles keyed by red count; decorations are
     dots near the marked side."""
     body = []

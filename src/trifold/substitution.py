@@ -19,8 +19,9 @@ the folding pattern of the word on all interior segments.
 Inflation stays tile-local on the ``WindowColors`` rows: each tile's
 6-bit side code (``WindowColors.tile_codes``) picks its 12 child-side
 writes from a table built once per rule and orientation from
-``apply_rule_tile``, and every write is checked against the byte
-already there.
+``apply_rule_tile`` and the children's anchors, a constant offset table
+per orientation whose sides come from ``lattice.unit_tile_segments``;
+every write is checked against the byte already there.
 """
 
 from __future__ import annotations
@@ -38,11 +39,8 @@ from .folding import (
     PatternPatch,
     WindowColors,
 )
-from .lattice import NEGATIVE, POSITIVE, Seg, TriRegion, Triangle, standard_region
+from .lattice import NEGATIVE, POSITIVE, Seg, TriRegion, standard_region, unit_tile_segments
 from .spectral import Mat
-
-CLASS_NAMES = ("P-RRR", "P-RRB", "P-RBB", "P-BBB",
-               "N-BBB", "N-RBB", "N-RRB", "N-RRR")
 
 RULES = ("+", "-")
 
@@ -129,17 +127,20 @@ def _corner_functionals(region: TriRegion) -> tuple[int, int, int]:
     return (region.w1, -region.w1 - region.w3, region.w3)
 
 
+#: The four children of the unit tile at (p, q) doubled about the vertex
+#: (0, 0), per orientation: the medial child, then corner d, which shares
+#: side d with it, as (orientation, dp, dq) offsets from (2p, 2q).
+_CHILDREN = {POSITIVE: ((NEGATIVE, 0, 1), (POSITIVE, 0, 1), (POSITIVE, 0, 0), (POSITIVE, 1, 0)),
+            NEGATIVE: ((POSITIVE, 1, -1), (NEGATIVE, 1, -1), (NEGATIVE, 1, 0), (NEGATIVE, 0, 0))}
+
+
 @cache
 def _child_writes(rule: str, orientation: int) -> tuple:
     """Per tile code c1 + 4 c2 + 16 c3 (see folding.TILE_SIDES), the 12
     (d, dp, dq, code) writes of the tile's four children: Seg(d, 2p + dp,
     2q + dq) gets ``code`` when the tile at (p, q) is inflated about the
     vertex (0, 0).  None for a code with an uncolored side."""
-    x = [2 * v - a for v, a in zip(Triangle.unit_from_anchor(orientation, 0, 0), (1, -2, 1))]
-    adj = -3 * orientation
-    # the medial child (d = 0), then corner d, which moves side d only
-    children = [Triangle(*(v + adj * (d in (0, e)) for e, v in enumerate(x, start=1)))
-                for d in range(4)]
+    child_sides = [unit_tile_segments(*child) for child in _CHILDREN[orientation]]
     table = []
     for sides in TILE_SIDES:
         if sides is None:
@@ -147,8 +148,8 @@ def _child_writes(rule: str, orientation: int) -> tuple:
             continue
         images = apply_rule_tile(rule, TriangleColoring(orientation, sides))
         table.append(tuple((seg.d, seg.p, seg.q, COLOR_CODES[color])
-                           for child, image in zip(children, images)
-                           for seg, color in zip(child.side_segments(), image.colors)))
+                           for segs, image in zip(child_sides, images)
+                           for seg, color in zip(segs, image.colors)))
     return tuple(table)
 
 
@@ -196,11 +197,9 @@ def apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
 def seed_patch(seed: TriangleColoring) -> PatternPatch:
     """A single placed seed tile: positive seeds sit on the central unit
     triangle, negative ones on the unit triangle below its base."""
-    if seed.orientation == POSITIVE:
-        tri = Triangle(1, 1, 1)
-    else:
-        tri = Triangle(1, -2, -2)
-    return PatternPatch(TriRegion(*tri), dict(zip(tri.side_segments(), seed.colors)))
+    region = TriRegion(1, 1, 1) if seed.orientation == POSITIVE else TriRegion(1, -2, -2)
+    sides = unit_tile_segments(seed.orientation, 0, 0)
+    return PatternPatch(region, dict(zip(sides, seed.colors)))
 
 
 def recenter(patch: PatternPatch) -> PatternPatch:
@@ -248,7 +247,6 @@ def compose(word: str, n: int, seed: TriangleColoring) -> PatternPatch:
 
 ALL_RED_POSITIVE = TriangleColoring(POSITIVE, (Color.RED,) * 3)
 ALL_RED_NEGATIVE = TriangleColoring(NEGATIVE, (Color.RED,) * 3)
-ALL_BLUE_POSITIVE = TriangleColoring(POSITIVE, (Color.BLUE,) * 3)
 
 
 def folding_seed(total_steps: int) -> TriangleColoring:

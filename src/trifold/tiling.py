@@ -11,10 +11,12 @@ step at a time, starting from a monochrome interior tile.  The
 procedure never consults line values or layer arithmetic, only the
 tile data itself.
 
-Tilings are keyed by unit ``Triangle``.  ``to_tiling`` labels tile codes
-through ``DECORATIONS``, the table the tile statistics share.
-``reconstruct`` turns each key into its anchor once, lists each tile's
-sides once and finds a hexagon by translating the ``lattice`` tables.
+Tilings are dicts keyed by tile anchor (orientation, p, q), the key the
+window store, the ``lattice`` tables and tiling files use too, and a
+tile is named as its tiling-file record names it (``tile_name``).
+``to_tiling`` labels tile codes through ``DECORATIONS``, the table the
+tile statistics share.  ``reconstruct`` lists each tile's sides once
+and finds a hexagon by translating the ``lattice`` tables.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .errors import Inconsistent, Undecidable
 from .folding import TILE_SIDES, Color, PatternPatch
 from .lattice import (
     AROUND,
+    POSITIVE,
     TILE_VERTICES,
     Line,
     Seg,
-    Triangle,
     Vertex,
     incident_segments,
     line_of,
@@ -62,22 +64,31 @@ DECORATIONS = tuple(None if sides is None else DecoratedTile(*decorate(sides))
                     for sides in TILE_SIDES)
 
 
-def to_tiling(patch: PatternPatch) -> dict[Triangle, DecoratedTile]:
+#: A unit tile's anchor (orientation, p, q).
+Anchor = tuple[int, int, int]
+
+
+def tile_name(o: int, p: int, q: int) -> str:
+    """The tile as a tiling-file record names it: ``P p q`` or ``N p q``."""
+    return f"{'P' if o == POSITIVE else 'N'} {p} {q}"
+
+
+def to_tiling(patch: PatternPatch) -> dict[Anchor, DecoratedTile]:
     """Convert every fully colored unit triangle of the window."""
     window = {}
     for o, q, first, codes in patch.colors.tile_codes():
         for i, code in enumerate(codes):
             label = DECORATIONS[code]
             if label is not None:
-                window[Triangle.unit_from_anchor(o, first + i, q)] = label
+                window[(o, first + i, q)] = label
     return window
 
 
-def strip_decoration(window: dict[Triangle, DecoratedTile]) -> dict[Triangle, int]:
-    return {tri: t.red_count for tri, t in window.items()}
+def strip_decoration(window: dict[Anchor, DecoratedTile]) -> dict[Anchor, int]:
+    return {a: t.red_count for a, t in window.items()}
 
 
-def _around(center: Vertex) -> tuple[list[tuple[int, int, int]], list[Seg]]:
+def _around(center: Vertex) -> tuple[list[Anchor], list[Seg]]:
     """The anchors of the six tiles around a vertex and their outer
     sides; tile i lies between spokes i and i + 1 of incident_segments."""
     p, q = center
@@ -85,20 +96,19 @@ def _around(center: Vertex) -> tuple[list[tuple[int, int, int]], list[Seg]]:
             [Seg(d, p + a, q + b) for _, _, _, (d, a, b) in AROUND])
 
 
-def reconstruct(window: dict[Triangle, int],
+def reconstruct(window: dict[Anchor, int],
                 targets: Optional[Iterable[Seg]] = None) -> dict[Seg, Color]:
-    """Rebuild segment colors from undecorated red counts.
+    """Rebuild segment colors from undecorated red counts, by tile anchor.
 
     Returns every decidable segment, or exactly the requested targets.
-    Raises Inconsistent when the counts admit no coloring (corrupted
-    input) and Undecidable when a requested segment cannot be settled
-    inside the window.
+    Raises Inconsistent, naming a tile by its record, when the counts
+    admit no coloring (corrupted input) and Undecidable when a requested
+    segment cannot be settled inside the window.
     """
-    for tri, count in window.items():
+    for a, count in window.items():
         if not 0 <= count <= 3:
-            raise Inconsistent(f"{tri}: red count {count} out of range")
-    counts = {tri.anchor(): count for tri, count in window.items()}
-    sides = {a: unit_tile_segments(*a) for a in counts}
+            raise Inconsistent(f"tile {tile_name(*a)}: red count {count} out of range")
+    sides = {a: unit_tile_segments(*a) for a in window}
 
     colors: dict[Seg, Color] = {}
 
@@ -110,7 +120,7 @@ def reconstruct(window: dict[Triangle, int],
             raise Inconsistent(f"{seg}: both colors forced")
 
     # 1. monochrome tiles know all their sides
-    for a, count in counts.items():
+    for a, count in window.items():
         if count == 3 or count == 0:
             col = RED if count else BLUE
             for seg in sides[a]:
@@ -137,14 +147,14 @@ def reconstruct(window: dict[Triangle, int],
     # of whose surrounding outer sides lie on identified lines
     centers = []
     seen = set()
-    for o, p, q in counts:
+    for o, p, q in window:
         for dp, dq in TILE_VERTICES[o]:
             center = Vertex(p + dp, q + dq)
             if center in seen:
                 continue
             seen.add(center)
             tiles, outer = _around(center)
-            if (all(t in counts for t in tiles)
+            if (all(t in window for t in tiles)
                     and all(line_of(s) in finest_lines and s in colors for s in outer)):
                 centers.append(center)
 
@@ -158,25 +168,21 @@ def reconstruct(window: dict[Triangle, int],
                 known = [colors.get(s) for s in sides_i]
                 reds = sum(c is RED for c in known)
                 missing = [s for s, c in zip(sides_i, known) if c is None]
-                count = counts[tiles[i]]
-                if not missing:
-                    if reds != count:
-                        raise Inconsistent(f"tile {Triangle.unit_from_anchor(*tiles[i])}: "
-                                           "red count mismatch")
-                    continue
+                # a tile with no side missing is checked in stage 4
                 if len(missing) == 1:
+                    count = window[tiles[i]]
                     need = count - reds
                     if need not in (0, 1):
-                        raise Inconsistent(f"tile {Triangle.unit_from_anchor(*tiles[i])}: "
+                        raise Inconsistent(f"tile {tile_name(*tiles[i])}: "
                                            f"red count {count} impossible")
                     paint(missing[0], RED if need else BLUE)
                     progress = True
 
     # 4. every fully recovered tile must agree with its count
-    for a, count in counts.items():
+    for a, count in window.items():
         known = [colors.get(s) for s in sides[a]]
         if None not in known and sum(c is RED for c in known) != count:
-            raise Inconsistent(f"tile {Triangle.unit_from_anchor(*a)}: red count mismatch")
+            raise Inconsistent(f"tile {tile_name(*a)}: red count mismatch")
 
     if targets is None:
         return colors

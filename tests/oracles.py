@@ -4,9 +4,12 @@ Layer triangles are found by enumerating all value triples with the
 right 2-adic valuation and side length, and their boundary segments by
 walking the triangle's corners; ``layer_triangle_of`` turns the
 library's one-segment ``layer_data`` into the attached triangle's side
-values so that enumeration can check it.  Window segments and unit
-tiles are found by testing every segment or tile in the window's
-bounding box: a triangle's with the midpoint predicates
+values so that enumeration can check it.  Grid triangles are
+``TriRegion`` side values; the unit-tile arithmetic on them (side
+values from an anchor and back, corners, sides joining the corners)
+lives here, apart from the library's offset tables.  Window segments
+and unit tiles are found by testing every segment or tile in the
+window's bounding box: a triangle's with the midpoint predicates
 ``TriRegion.contains_interior`` and ``is_boundary``, a ball's with the
 exact Cartesian norm ``norm_sq_times_12``.  ``reflect_line`` is the
 line form of the library's vertex and segment reflections.  Matrix
@@ -17,36 +20,50 @@ translated one segment at a time.  The unfolder and the substituter
 keep their segment-at-a-time forms: ``dict_unfold_once`` reflects
 every segment with ``reflect_segment`` and keeps the images that
 ``contains_interior`` accepts, and ``dict_apply_rule_patch`` places
-each tile's four children as triangles and writes their
-``side_segments`` into a dict.  ``full_tiles`` decodes a window's tile
-codes into (triangle, side colors) pairs.  ``dict_reconstruct`` is the
-Triangle-keyed reconstruction: it builds the six triangles around each
-vertex and filters their ``side_segments`` against the spokes.
+each tile's four children as side values and writes their
+``unit_sides`` into a dict.  ``full_tiles`` decodes a window's tile
+codes into (anchor, side colors) pairs.  ``dict_reconstruct`` is the
+reconstruction on side values: it builds the six triangles around each
+vertex and filters their ``unit_sides`` against the spokes.
+
+The last section holds measurements only the tests take: a window's
+interior as a dict, its disallowed stars, the layer-block check, the
+class names and the all-blue seed.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from trifold.errors import Inconsistent, OutOfRegion, SeamConflict, Undecidable
-from trifold.folding import TILE_SIDES, UP, Color, FoldingSequence, PatternPatch, color_of_segment
+from trifold.analysis import star_allowed, vertex_star_histogram
+from trifold.errors import Inconsistent, OutOfRegion, SeamConflict, Undecidable, WindowTooSmall
+from trifold.folding import (
+    TILE_SIDES,
+    UP,
+    Color,
+    FoldingSequence,
+    PatternPatch,
+    color_of_segment,
+    iter_colored,
+)
 from trifold.lattice import (
     NEGATIVE,
     POSITIVE,
     Line,
     Seg,
-    Triangle,
     TriRegion,
     Vertex,
     incident_segments,
     layer_data,
     layer_of,
     line_of,
+    line_position,
     reflect_segment,
     seg_between,
     standard_region,
     unit_tile_segments,
+    v2,
 )
-from trifold.substitution import medial_color
+from trifold.substitution import TriangleColoring, medial_color
 
 
 def v2_slow(n: int) -> int:
@@ -62,12 +79,12 @@ def _corner(f1: int, f3: int) -> Vertex:
     return Vertex.from_functionals(f1, f3)
 
 
-def triangle_boundary_segments(tri: Triangle) -> list[Seg]:
+def triangle_boundary_segments(tri: TriRegion) -> list[Seg]:
     """Unit segments on the boundary of any grid triangle."""
     s = tri.side
-    c12 = _corner(tri.v1, -tri.v1 - tri.v2)
-    c13 = _corner(tri.v1, tri.v3)
-    c23 = _corner(-tri.v2 - tri.v3, tri.v3)
+    c12 = _corner(tri.w1, -tri.w1 - tri.w2)
+    c13 = _corner(tri.w1, tri.w3)
+    c23 = _corner(-tri.w2 - tri.w3, tri.w3)
     segs = []
     for a, b in ((c12, c13), (c12, c23), (c13, c23)):
         dp = (b.p - a.p) // s
@@ -79,27 +96,27 @@ def triangle_boundary_segments(tri: Triangle) -> list[Seg]:
     return segs
 
 
-def brute_layer_triangles(k: int, value_bound: int) -> dict[Seg, Triangle]:
+def brute_layer_triangles(k: int, value_bound: int) -> dict[Seg, TriRegion]:
     """Map from each segment of a layer-k line to its layer-k triangle,
     for all layer-k triangles with side values within the bound."""
     s = 2 ** (k - 1)
     vals = [v for v in range(-value_bound, value_bound + 1)
             if v % 3 == 1 % 3 and v != 0 and v2_slow(v) == k - 1]
     valset = set(vals)
-    out: dict[Seg, Triangle] = {}
+    out: dict[Seg, TriRegion] = {}
     for a in vals:
         for b in vals:
             for total in (3 * s, -3 * s):
                 c = total - a - b
                 if c in valset:
-                    tri = Triangle(a, b, c)
+                    tri = TriRegion(a, b, c)
                     for seg in triangle_boundary_segments(tri):
                         assert seg not in out, f"{seg} in two layer-{k} triangles"
                         out[seg] = tri
     return out
 
 
-def layer_triangle_of(seg: Seg) -> Triangle:
+def layer_triangle_of(seg: Seg) -> TriRegion:
     """The layer triangle attached to the segment, with its side values:
     in each other direction, the layer-k value just below the midpoint
     (negative triangle) or just above it (positive)."""
@@ -110,7 +127,7 @@ def layer_triangle_of(seg: Seg) -> Triangle:
     mids = seg.doubled_midpoint()
     vals = [r + step * ((m - 2 * r) // (2 * step) + positive) for m in mids]
     vals[seg.d - 1] = mids[seg.d - 1] // 2
-    return Triangle(*vals)
+    return TriRegion(*vals)
 
 
 def reflect_line(line: Line, mirror: Line) -> Line:
@@ -313,7 +330,7 @@ def dict_unfold_once(patch: PatternPatch, fold) -> PatternPatch:
     big = standard_region(m + 1)
     mid_value = (-2) ** m
 
-    colors = dict(patch.interior_items())
+    colors = interior_colors(patch)
     for seg in patch.region.iter_boundary_segments():
         colors[seg] = Color.RED if fold[seg.d - 1] == UP else Color.BLUE
 
@@ -327,21 +344,21 @@ def dict_unfold_once(patch: PatternPatch, fold) -> PatternPatch:
     return PatternPatch(big, colors)
 
 
-def _placed_children(rule: str, tri: Triangle, cols, anchor):
+def _placed_children(rule: str, tri: TriRegion, cols, anchor):
     """The four children of a unit tile doubled about ``anchor`` (vertex
     functionals), with their side colors: the medial one monochrome,
     corner d sharing side d with it and swapping the tile's other
     sides."""
     o = tri.orientation
-    x = (2 * tri.v1 - anchor[0], 2 * tri.v2 - anchor[1], 2 * tri.v3 - anchor[2])
+    x = (2 * tri.w1 - anchor[0], 2 * tri.w2 - anchor[1], 2 * tri.w3 - anchor[2])
     adj = -3 * o
     mu = medial_color(rule, -o)
-    yield Triangle(x[0] + adj, x[1] + adj, x[2] + adj), (mu, mu, mu)
+    yield TriRegion(x[0] + adj, x[1] + adj, x[2] + adj), (mu, mu, mu)
     for d in (1, 2, 3):
         vals = list(x)
         vals[d - 1] += adj
         child_cols = tuple(mu if e == d else cols[e - 1].swapped for e in (1, 2, 3))
-        yield Triangle(*vals), child_cols
+        yield TriRegion(*vals), child_cols
 
 
 def dict_apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
@@ -354,9 +371,9 @@ def dict_apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
     if len(tiles) != region.side * region.side:
         raise ValueError("patch is not fully colored (boundary sides included)")
     out: dict[Seg, Color] = {}
-    for tri, cols in tiles:
-        for child, child_cols in _placed_children(rule, tri, cols, anchor):
-            for seg, col in zip(child.side_segments(), child_cols):
+    for tile, cols in tiles:
+        for child, child_cols in _placed_children(rule, unit_triangle(*tile), cols, anchor):
+            for seg, col in zip(unit_sides(child), child_cols):
                 prev = out.setdefault(seg, col)
                 if prev is not col:
                     raise SeamConflict(f"{seg}: {prev.value} vs {col.value}")
@@ -364,20 +381,49 @@ def dict_apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
 
 
 def full_tiles(patch: PatternPatch):
-    """(triangle, side colors) for tiles with all three sides known."""
+    """(anchor, side colors) for tiles with all three sides known."""
     for o, q, first, codes in patch.colors.tile_codes():
         for i, code in enumerate(codes):
             sides = TILE_SIDES[code]
             if sides is not None:
-                yield Triangle.unit_from_anchor(o, first + i, q), sides
+                yield (o, first + i, q), sides
 
 
-def unit_vertices(tri: Triangle) -> tuple[Vertex, Vertex, Vertex]:
+# -- unit triangles by side values ----------------------------------------
+
+def unit_triangle(o: int, p: int, q: int) -> TriRegion:
+    """The side values of the unit tile at the anchor (o, p, q)."""
+    if o == POSITIVE:
+        return TriRegion(1 - 3 * q, 3 * (p + q) + 1, 1 - 3 * p)
+    return TriRegion(1 - 3 * q, 3 * (p + q) - 2, -2 - 3 * p)
+
+
+def unit_anchor(tri: TriRegion) -> tuple[int, int, int]:
+    """(orientation, p, q) of a unit triangle given by side values.
+
+    Positive: vertices (p,q), (p+1,q), (p,q+1); negative: vertices
+    (p,q), (p+1,q), (p+1,q-1).
+    """
+    total = sum(tri)
+    if total == 3:
+        return (POSITIVE, (1 - tri.w3) // 3, (1 - tri.w1) // 3)
+    if total == -3:
+        return (NEGATIVE, (-2 - tri.w3) // 3, (1 - tri.w1) // 3)
+    raise ValueError(f"{tri} is not a unit triangle")
+
+
+def unit_vertices(tri: TriRegion) -> tuple[Vertex, Vertex, Vertex]:
     """The corners of a unit triangle, from its anchor."""
-    o, p, q = tri.anchor()
+    o, p, q = unit_anchor(tri)
     if o == POSITIVE:
         return (Vertex(p, q), Vertex(p + 1, q), Vertex(p, q + 1))
     return (Vertex(p, q), Vertex(p + 1, q), Vertex(p + 1, q - 1))
+
+
+def unit_sides(tri: TriRegion) -> tuple[Seg, Seg, Seg]:
+    """The sides of a unit triangle, by direction, joining its corners."""
+    a, b, c = unit_vertices(tri)
+    return tuple(sorted((seg_between(a, b), seg_between(b, c), seg_between(a, c))))
 
 
 def tiles_around(vertex: Vertex):
@@ -391,19 +437,21 @@ def tiles_around(vertex: Vertex):
     spokes = incident_segments(vertex)
     anchors = ((POSITIVE, p, q), (NEGATIVE, p - 1, q + 1), (POSITIVE, p - 1, q),
                (NEGATIVE, p - 1, q), (POSITIVE, p, q - 1), (NEGATIVE, p, q))
-    tiles = [Triangle.unit_from_anchor(*a) for a in anchors]
+    tiles = [unit_triangle(*a) for a in anchors]
     outer = []
     for i, tri in enumerate(tiles):
-        side = [s for s in tri.side_segments()
+        side = [s for s in unit_sides(tri)
                 if s != spokes[i] and s != spokes[(i + 1) % 6]]
         outer.append(side[0])
     return tiles, spokes, outer
 
 
-def dict_reconstruct(window: dict[Triangle, int], targets=None) -> dict[Seg, Color]:
-    """Local reconstruction on Triangle keys, a tile's sides and vertices
-    recomputed wherever they are needed."""
+def dict_reconstruct(counts: dict[tuple[int, int, int], int], targets=None) -> dict[Seg, Color]:
+    """Local reconstruction of anchor-keyed red counts, run on the tiles'
+    side values, a tile's sides and vertices recomputed wherever they
+    are needed."""
     RED, BLUE = Color.RED, Color.BLUE
+    window = {unit_triangle(*a): count for a, count in counts.items()}
     for tri, count in window.items():
         if not 0 <= count <= 3:
             raise Inconsistent(f"{tri}: red count {count} out of range")
@@ -421,13 +469,13 @@ def dict_reconstruct(window: dict[Triangle, int], targets=None) -> dict[Seg, Col
     for tri, count in window.items():
         if count == 3 or count == 0:
             col = RED if count else BLUE
-            for seg in tri.side_segments():
+            for seg in unit_sides(tri):
                 paint(seg, col)
 
     # 2. finest-layer lines show alternating runs of three
     by_line: dict[Line, dict[int, Seg]] = {}
     for tri in window:
-        for seg in tri.side_segments():
+        for seg in unit_sides(tri):
             pos = seg.p if seg.d != 3 else seg.q
             by_line.setdefault(line_of(seg), {})[pos] = seg
     finest_lines: set[Line] = set()
@@ -485,7 +533,7 @@ def dict_reconstruct(window: dict[Triangle, int], targets=None) -> dict[Seg, Col
 
     # 4. every fully recovered tile must agree with its count
     for tri, count in window.items():
-        known = [colors.get(s) for s in tri.side_segments()]
+        known = [colors.get(s) for s in unit_sides(tri)]
         if None not in known and sum(c is RED for c in known) != count:
             raise Inconsistent(f"tile {tri}: red count mismatch")
 
@@ -498,3 +546,55 @@ def dict_reconstruct(window: dict[Triangle, int], targets=None) -> dict[Seg, Col
             raise Undecidable(f"{seg} cannot be settled in this window")
         result[seg] = col
     return result
+
+
+# -- measurements only the tests take -------------------------------------
+
+CLASS_NAMES = ("P-RRR", "P-RRB", "P-RBB", "P-BBB",
+               "N-BBB", "N-RBB", "N-RRB", "N-RRR")
+
+ALL_BLUE_POSITIVE = TriangleColoring(POSITIVE, (Color.BLUE,) * 3)
+
+
+def interior_items(patch: PatternPatch):
+    """(segment, color) for every colored interior segment."""
+    return iter_colored(patch.colors.interior())
+
+
+def interior_colors(patch: PatternPatch) -> dict[Seg, Color]:
+    return dict(interior_items(patch))
+
+
+def disallowed_stars(patch: PatternPatch) -> dict[str, int]:
+    return {s: n for s, n in vertex_star_histogram(patch).items()
+            if not star_allowed(s)}
+
+
+def layer_block_check(patch: PatternPatch, k: int) -> bool:
+    """True iff every layer-k line in the window alternates in
+    monochrome blocks of exactly 2^(k-1) unit segments.
+
+    Adjacent segments share a vertex; the block boundary falls exactly
+    where another layer-k line passes through that vertex.
+    """
+    if not patch.region.contains_ball_of_radius(2 << k):
+        raise WindowTooSmall(f"window too small for layer-{k} blocks")
+    interior = interior_colors(patch)
+    by_line: dict[Line, dict[int, Seg]] = {}
+    for seg in interior:
+        v, pos = line_position(seg)
+        if v2(v) != k - 1:
+            continue
+        by_line.setdefault(Line(seg.d, v), {})[pos] = seg
+    for line, segs in by_line.items():
+        for pos, seg in segs.items():
+            nxt = segs.get(pos + 1)
+            if nxt is None:
+                continue
+            f = seg.endpoints()[1].functionals()  # the shared vertex
+            boundary = any(v2(f[j]) == k - 1 for j in range(3)
+                           if j != line.d - 1)
+            same = interior[seg] is interior[nxt]
+            if same == boundary:
+                return False
+    return True

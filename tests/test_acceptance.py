@@ -11,11 +11,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import disallowed_stars, interior_items, layer_block_check, unit_triangle
 from trifold.analysis import (
     decorated_type_counts,
-    disallowed_stars,
     filter_layer,
-    layer_block_check,
     period_check,
     tile_class_counts,
     vertex_star_histogram,
@@ -114,8 +113,8 @@ def test_criterion_2_oracle_triangulation():
         composed = compose(word, 1, folding_seed(6))
         assert not interior_mismatches(closed, unfolded), word
         assert not interior_mismatches(closed, composed), word
-        assert dict(closed.interior_items()).keys() == \
-            dict(unfolded.interior_items()).keys()
+        assert dict(interior_items(closed)).keys() == \
+            dict(interior_items(unfolded)).keys()
     report(2, 30.0, t0, "closed form, unfolding and substitution agree on "
                         "all interiors for all 64 words of length 6")
 
@@ -236,7 +235,7 @@ def test_criterion_7_mld_reconstruction():
         window = ball_patch(FoldingSequence.parse(seq_text), 12)
         tiles = dict(strip_decoration(to_tiling(window)))
         victim = next(t for t, c in tiles.items()
-                      if all(abs(v) < 10 for v in t))
+                      if all(abs(v) < 10 for v in unit_triangle(*t)))
         tiles[victim] = 3 - tiles[victim]
         with pytest.raises(Inconsistent):
             reconstruct(tiles)

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import disallowed_stars, layer_block_check
 from trifold.analysis import (
     decorated_type_counts,
-    disallowed_stars,
     filter_layer,
-    layer_block_check,
     period_check,
     star_allowed,
     star_class,

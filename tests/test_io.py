@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import interior_colors
 from trifold.errors import ParseError
 from trifold.folding import FoldingSequence, ball_patch, patch
 from trifold.lattice import Seg
@@ -200,7 +201,7 @@ def test_svg_deterministic_and_wellformed():
     svg2 = render_svg(p)
     assert svg1 == svg2
     assert svg1.startswith("<svg ") and svg1.rstrip().endswith("</svg>")
-    assert svg1.count("<line ") == len(p.interior_colors())
+    assert svg1.count("<line ") == len(interior_colors(p))
     assert "#E41A1C" in svg1 and "#377EB8" in svg1
 
 

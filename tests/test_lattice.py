@@ -12,6 +12,7 @@ from oracles import (
     scan_ball,
     scan_region_segments,
     scan_region_tiles,
+    unit_triangle,
     unit_vertices,
     v2_slow,
 )
@@ -24,7 +25,6 @@ from trifold.lattice import (
     BallRegion,
     Line,
     Seg,
-    Triangle,
     TriRegion,
     Vertex,
     incident_segments,
@@ -55,7 +55,7 @@ def test_vertex_functional_identities():
 
 
 def test_t0_is_unit_positive_centered():
-    t0 = Triangle(1, 1, 1)
+    t0 = TriRegion(1, 1, 1)
     assert t0.orientation == POSITIVE and t0.side == 1
     assert unit_vertices(t0) == (Vertex(0, 0), Vertex(1, 0), Vertex(0, 1))
     xs = [v.xy() for v in unit_vertices(t0)]
@@ -69,19 +69,19 @@ def test_tile_tables_fit_together():
     spokes = incident_segments(center)
     assert spokes == tuple(seg_between(center, v) for v in ccw)
     for o in (POSITIVE, NEGATIVE):
-        tri = Triangle.unit_from_anchor(o, 2, -3)
+        tri = unit_triangle(o, 2, -3)
         corners = tuple(Vertex(2 + dp, -3 + dq) for dp, dq in TILE_VERTICES[o])
         assert corners == unit_vertices(tri)
         # a corner lies on exactly two of the triangle's side lines
         assert len(set(corners)) == 3
         assert all(sum(f == w for f, w in zip(v.functionals(), tri)) == 2 for v in corners)
-        sides = tri.side_segments()
+        sides = unit_tile_segments(o, 2, -3)
         assert [s.d for s in sides] == [1, 2, 3]
         assert set(sides) == {seg_between(a, b) for a, b in itertools.combinations(corners, 2)}
     # tile i around a vertex has the vertex as a corner, spokes i and
     # i + 1 and its outer side as its sides
     for i, (o, a, b, outer) in enumerate(AROUND):
-        assert center in unit_vertices(Triangle.unit_from_anchor(o, a, b))
+        assert center in unit_vertices(unit_triangle(o, a, b))
         assert set(unit_tile_segments(o, a, b)) == {spokes[i], spokes[(i + 1) % 6], Seg(*outer)}
     assert len({(o, a, b) for o, a, b, _ in AROUND}) == 6
 
@@ -117,9 +117,9 @@ def test_layer_partition_of_line_values():
 
 
 def test_layer_triangle_on_t0_sides():
-    for seg in Triangle(1, 1, 1).side_segments():
+    for seg in unit_tile_segments(POSITIVE, 0, 0):
         assert layer_data(seg)[1]
-        assert layer_triangle_of(seg) == Triangle(1, 1, 1)
+        assert layer_triangle_of(seg) == TriRegion(1, 1, 1)
 
 
 def test_layer_triangle_against_brute_force_radius_64():
@@ -215,7 +215,7 @@ def test_region_interior_boundary_segment_counts():
 def test_region_tile_enumeration_matches_side_square():
     for region in (standard_region(2), standard_region(3),
                    TriRegion(1, -5, -2), TriRegion(4, 16, -11)):
-        tiles = [Triangle.unit_from_anchor(*a) for a in region.iter_tile_anchors()]
+        tiles = [unit_triangle(*a) for a in region.iter_tile_anchors()]
         assert len(tiles) == region.side ** 2
         assert len(set(tiles)) == len(tiles)
         ups = sum(1 for t in tiles if t.orientation == POSITIVE)

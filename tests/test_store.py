@@ -17,6 +17,7 @@ from oracles import (
     dict_recolor,
     dict_translate,
     full_tiles,
+    interior_colors,
     scan_ball,
     scan_region_tiles,
     tiles_by_lookup,
@@ -34,7 +35,7 @@ from trifold.folding import (
     patch,
     recolor,
 )
-from trifold.lattice import BallRegion, Seg, Triangle, TriRegion, standard_region
+from trifold.lattice import BallRegion, Seg, TriRegion, standard_region
 from trifold.patternio import read_pattern, write_pattern
 from trifold.substitution import class_index
 from trifold.tiling import decorate, to_tiling
@@ -100,7 +101,8 @@ def test_translate_recolor_and_filter_layer_match_dict_oracles():
     p = patch(FoldingSequence.parse("(+--)*"), 5)
     for a, b in ((0, 0), (3, -2), (-7, 11)):
         moved = p.translate(a, b)
-        assert moved.region == TriRegion(*Triangle(*p.region).translate(a, b))
+        assert moved.region.vertex_rows() == {
+            q + b: (first + a, stop + a) for q, (first, stop) in p.region.vertex_rows().items()}
         assert moved.colors == dict_translate(p.colors, a, b)
         assert set(moved.region.iter_boundary_segments()) == {
             translate_segment(s, a, b) for s in p.region.iter_boundary_segments()}
@@ -171,7 +173,7 @@ def test_store_equals_the_dict_painter(window):
     assert p.colors == want
     assert dict(p.colors.items()) == want and len(p.colors) == len(want)
     boundary = set(region.iter_boundary_segments())
-    assert p.interior_colors() == {s: c for s, c in want.items() if s not in boundary}
+    assert interior_colors(p) == {s: c for s, c in want.items() if s not in boundary}
 
 
 @exact
@@ -192,8 +194,8 @@ def test_tile_counts_equal_a_per_tile_count(window):
     anchors = scan_ball(region.radius)[1] if isinstance(region, BallRegion) else \
         scan_region_tiles(region)
     tiles = tiles_by_lookup(dict_pattern(seq, region), anchors)
-    assert {tri.anchor(): sides for tri, sides in full_tiles(p)} == tiles
-    assert {tri.anchor(): tuple(tile) for tri, tile in to_tiling(p).items()} == {
+    assert dict(full_tiles(p)) == tiles
+    assert {a: tuple(tile) for a, tile in to_tiling(p).items()} == {
         a: decorate(sides) for a, sides in tiles.items()}
     types = Counter((o, *decorate(sides)) for (o, _, _), sides in tiles.items())
     assert decorated_type_counts(p) == dict(types)
@@ -249,12 +251,12 @@ def test_mismatches_equal_the_dict_compare(window, flips, drops):
     for i in drops:
         colors.pop(segs[i % len(segs)], None)
     q = PatternPatch(p.region, colors)
-    want = dict_mismatches(p.interior_colors(), q.interior_colors())
+    want = dict_mismatches(interior_colors(p), interior_colors(q))
     assert interior_mismatches(p, q) == want
     assert interior_mismatches(q, p) == want
     other = patch(FoldingSequence.parse("(+)*"), 2)
-    assert interior_mismatches(p, other) == dict_mismatches(p.interior_colors(),
-                                                            other.interior_colors())
+    assert interior_mismatches(p, other) == dict_mismatches(interior_colors(p),
+                                                            interior_colors(other))
 
 
 @exact

@@ -2,14 +2,13 @@ import itertools
 
 import pytest
 
-from oracles import full_tiles
+from oracles import ALL_BLUE_POSITIVE, CLASS_NAMES, full_tiles, unit_triangle
 from trifold.errors import OrientationMismatch
 from trifold.folding import Color, FoldingSequence, interior_mismatches, patch
-from trifold.lattice import NEGATIVE, POSITIVE, Triangle
+from trifold.lattice import NEGATIVE, POSITIVE, TriRegion
 from trifold.spectral import M_MINUS, M_PLUS
 from trifold.substitution import (
     ALL_RED_POSITIVE,
-    CLASS_NAMES,
     TriangleColoring,
     apply_rule_patch,
     apply_rule_tile,
@@ -87,9 +86,9 @@ def test_word_matrix_order():
 
 def test_seed_patch_positions():
     pos = seed_patch(ALL_RED_POSITIVE)
-    assert list(full_tiles(pos))[0][0] == Triangle(1, 1, 1)
+    assert unit_triangle(*list(full_tiles(pos))[0][0]) == TriRegion(1, 1, 1)
     neg = seed_patch(folding_seed(1))
-    assert list(full_tiles(neg))[0][0] == Triangle(1, -2, -2)
+    assert unit_triangle(*list(full_tiles(neg))[0][0]) == TriRegion(1, -2, -2)
 
 
 def test_single_application_swaps_outer_colors():
@@ -126,7 +125,6 @@ def test_compose_with_repetition():
 
 def test_compose_interior_is_seed_color_independent():
     # the all-blue positive seed works just as well for words led by "-"
-    from trifold.substitution import ALL_BLUE_POSITIVE
     c = compose("-+", 1, ALL_BLUE_POSITIVE)
     assert not interior_mismatches(c, patch(FoldingSequence("-+"), 2))
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dict_reconstruct
+from oracles import dict_reconstruct, unit_triangle
 from trifold.errors import Inconsistent, Undecidable
 from trifold.folding import Color, FoldingSequence, ball_patch, patch
-from trifold.lattice import BallRegion, Seg, Triangle
+from trifold.lattice import POSITIVE, BallRegion, Seg, unit_tile_segments
 from trifold.tiling import reconstruct, strip_decoration, to_tiling
 
 RNG = random.Random(3)
@@ -18,10 +18,10 @@ R, B = Color.RED, Color.BLUE
 def test_to_tiling_decoration_rules():
     p = ball_patch(FoldingSequence.parse("(+)*"), 8)
     window = to_tiling(p)
-    t0 = Triangle(1, 1, 1)
+    t0 = (POSITIVE, 0, 0)
     assert window[t0].red_count == 3 and window[t0].decoration is None
-    for tri, tile in window.items():
-        cols = [p.colors[s] for s in tri.side_segments()]
+    for a, tile in window.items():
+        cols = [p.colors[s] for s in unit_tile_segments(*a)]
         assert tile.red_count == sum(c is R for c in cols)
         if tile.red_count in (0, 3):
             assert tile.decoration is None
@@ -96,7 +96,7 @@ def test_reconstruct_corrupted_monochrome_tile():
     seq = FoldingSequence.parse("(+)*")
     p = ball_patch(seq, 12)
     window = dict(strip_decoration(to_tiling(p)))
-    tri = Triangle(1, 1, 1)
+    tri = (POSITIVE, 0, 0)
     assert window[tri] == 3
     window[tri] = 0
     with pytest.raises(Inconsistent):
@@ -108,15 +108,47 @@ def test_reconstruct_corrupted_mixed_tile():
     p = ball_patch(seq, 12)
     window = dict(strip_decoration(to_tiling(p)))
     tri = next(t for t, c in window.items() if c in (1, 2)
-               and all(abs(v) < 10 for v in t))
+               and all(abs(v) < 10 for v in unit_triangle(*t)))
     window[tri] = 3 - window[tri]
     with pytest.raises(Inconsistent):
         reconstruct(window)
 
 
+def test_reconstruct_rejects_a_count_no_spoke_color_fits():
+    # two tiles of a hexagon, each with its two sides off the spoke s
+    # between them of one color, get the count no color of s fits: 2 if
+    # those sides are blue, 1 if red.  Solving from another monochrome
+    # tile of the hexagon then reaches both with s open, s stays open,
+    # neither tile is ever fully recovered, and only the in-hexagon count
+    # check sees the damage.
+    from trifold.lattice import AROUND, SPOKES
+
+    p = ball_patch(FoldingSequence.parse("(+-)*"), 10)
+    window = strip_decoration(to_tiling(p))
+    cases = []
+    for cp, cq in ((1, 1), (-1, 1), (1, -1)):
+        tiles = [(o, cp + a, cq + b) for o, a, b, _ in AROUND]
+        spokes = [Seg(d, cp + a, cq + b) for d, a, b in SPOKES]
+        outer = [Seg(d, cp + a, cq + b) for _, _, _, (d, a, b) in AROUND]
+        for i in range(6):
+            j = (i + 1) % 6
+            left = (p.colors[outer[i]], p.colors[spokes[i]])
+            right = (p.colors[outer[j]], p.colors[spokes[(j + 1) % 6]])
+            sources = [t for k, t in enumerate(tiles) if k not in (i, j) and window[t] in (0, 3)]
+            if left[0] is left[1] and right[0] is right[1] and sources:
+                cases.append(({tiles[i]: 2 if left[0] is B else 1,
+                               tiles[j]: 2 if right[0] is B else 1}, spokes[j]))
+    assert cases
+    colors = reconstruct(window)
+    for damage, spoke in cases:
+        assert colors[spoke] is p.colors[spoke]
+        with pytest.raises(Inconsistent, match="impossible"):
+            reconstruct({**window, **damage})
+
+
 def test_reconstruct_rejects_bad_counts():
     with pytest.raises(Inconsistent):
-        reconstruct({Triangle(1, 1, 1): 5})
+        reconstruct({(POSITIVE, 0, 0): 5})
 
 
 def test_hexagon_spokes_uniquely_determined():
@@ -127,7 +159,7 @@ def test_hexagon_spokes_uniquely_determined():
 
     seq = FoldingSequence.parse("(+-)*")
     p = ball_patch(seq, 10)
-    window = {tri.anchor(): n for tri, n in strip_decoration(to_tiling(p)).items()}
+    window = strip_decoration(to_tiling(p))
     # hexagon centers are the vertices on no finest-layer line (all
     # functionals even, i.e. p and q both odd)
     centers = [Vertex(1, 1), Vertex(-1, 1), Vertex(1, -1)]

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import disallowed_stars, interior_colors, interior_items
 from trifold.errors import OrientationMismatch
 from trifold.folding import Color, FoldingSequence, PatternPatch, patch
 from trifold.lattice import Line, Seg, reflect_segment, standard_region
@@ -18,14 +19,14 @@ def test_parse_mixed_word():
 def test_single_unfold_up_gives_three_red_segments():
     p = unfold_pattern([uniform("+")])
     assert p.region == standard_region(1)
-    interior = p.interior_colors()
+    interior = interior_colors(p)
     assert set(interior) == {Seg(1, 0, 0), Seg(2, 0, 1), Seg(3, 0, 0)}
     assert all(c is Color.RED for c in interior.values())
 
 
 def test_single_unfold_down_gives_blue():
     p = unfold_pattern([uniform("-")])
-    assert all(c is Color.BLUE for c in p.interior_colors().values())
+    assert all(c is Color.BLUE for c in interior_colors(p).values())
 
 
 def test_unfold_requires_centered_patch():
@@ -47,7 +48,7 @@ def test_region_orientation_alternates():
 def test_unfold_preserves_central_part():
     small = unfold_pattern(uniform_word("+-"))
     large = unfold_once(small, uniform("+"))
-    for seg, col in small.interior_items():
+    for seg, col in interior_items(small):
         assert large.colors[seg] is col
     # the old boundary became the new crease, colored by the new fold
     for seg in small.region.iter_boundary_segments():
@@ -60,7 +61,7 @@ def test_side_parts_are_swapped_mirrors():
     mids = (-2) ** 1
     for d in (1, 2, 3):
         mirror = Line(d, mids)
-        for seg, col in p.interior_items():
+        for seg, col in interior_items(p):
             if inner.contains_interior(seg):
                 image = reflect_segment(seg, mirror)
                 if image != seg:
@@ -73,7 +74,7 @@ def test_interior_count_recurrence():
     for m, fold in enumerate(uniform_word("+-++")):
         p = unfold_once(p, fold)
         count = 4 * count + 3 * 2 ** m
-        assert len(p.interior_colors()) == count
+        assert len(interior_colors(p)) == count
 
 
 def test_full_equivalence_with_closed_form_length_5():
@@ -81,7 +82,7 @@ def test_full_equivalence_with_closed_form_length_5():
         word = "".join(bits)
         a = patch(FoldingSequence(word), 5)
         b = unfold_pattern(uniform_word(word))
-        assert dict(a.interior_items()) == dict(b.interior_items())
+        assert dict(interior_items(a)) == dict(interior_items(b))
 
 
 def test_mixed_fold_creases_follow_flaps():
@@ -92,7 +93,6 @@ def test_mixed_fold_creases_follow_flaps():
 
 
 def test_mixed_fold_breaks_vertex_rule_somewhere():
-    from trifold.analysis import disallowed_stars
     found = False
     for f1 in itertools.product("+-", repeat=3):
         for f2 in itertools.product("+-", repeat=3):
