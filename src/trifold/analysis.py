@@ -21,8 +21,8 @@ from .folding import (
     NO_COLOR,
     UNCOLOR,
     PatternPatch,
-    WindowColors,
     combine,
+    freeze,
     through_lines,
 )
 from .lattice import NEGATIVE, POSITIVE, SPOKES, v2
@@ -160,5 +160,4 @@ def filter_layer(patch: PatternPatch, k: int) -> PatternPatch:
     def keep(d: int, v: int, t0: int, cells: bytearray) -> Optional[bytes]:
         return None if v2(v) + 1 == k else cells.translate(UNCOLOR)
 
-    rows = through_lines(patch.region, patch.colors.rows, keep)
-    return PatternPatch(patch.region, WindowColors(patch.region, rows))
+    return freeze(patch.region, through_lines(patch.region, patch.colors.rows, keep))

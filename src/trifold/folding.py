@@ -23,12 +23,18 @@ Tile codes, interior rows and mismatches are whole-row byte
 operations.  The unfolder and the substituter write the same rows
 themselves, through ``through_lines`` and ``tile_codes``, and never
 meet the paint rule.
+
+A store is built one way: ``blank_rows`` or ``through_lines`` gives
+rows to write, and ``freeze`` turns them, through a translate table if
+one is given, into the region's ``PatternPatch``.  The painter, the
+generators, the pattern reader and the transforms all end in it, and a
+mapping given to ``PatternPatch`` is written into blank rows first.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Optional
@@ -154,32 +160,14 @@ class WindowColors(Mapping):
     BLUE_CODE, RED_CODE or NO_COLOR (an unknown boundary segment, or one
     left out).  The rows are the region's ``segment_rows``, so a segment
     of the window is always in the store and the mapping holds exactly
-    its colored ones.
+    its colored ones.  Stores are made by ``freeze``.
     """
 
-    __slots__ = ("region", "rows", "_len", "_interior")
+    __slots__ = ("region", "rows")
 
     def __init__(self, region: Region, rows: Rows):
         self.region = region
         self.rows = rows
-        self._len: Optional[int] = None
-        self._interior: Optional[Rows] = None
-
-    @classmethod
-    def from_mapping(cls, region: Region, colors: Mapping[Seg, Color]) -> "WindowColors":
-        """Store any segment -> color mapping; every segment must be on
-        the window, else OutOfRegion."""
-        rows = tuple({q: (first, bytearray(bytes([NO_COLOR]) * (stop - first)))
-                      for q, (first, stop) in extents.items()}
-                     for extents in region.segment_rows())
-        for seg, color in colors.items():
-            d, p, q = seg
-            entry = rows[d - 1].get(q) if d in (1, 2, 3) else None
-            if entry is None or not 0 <= p - entry[0] < len(entry[1]):
-                raise OutOfRegion(f"{seg} is not a segment of {region}")
-            entry[1][p - entry[0]] = COLOR_CODES[color]
-        return cls(region, tuple({q: (first, bytes(row)) for q, (first, row) in r.items()}
-                                 for r in rows))
 
     def _code(self, seg) -> int:
         try:
@@ -202,39 +190,18 @@ class WindowColors(Mapping):
         code = self._code(seg)
         return default if code == NO_COLOR else CODE_COLORS[code]
 
-    def __contains__(self, seg) -> bool:
-        return self._code(seg) != NO_COLOR
-
     def __len__(self) -> int:
-        if self._len is None:
-            self._len = sum(len(row) - row.count(NO_COLOR)
-                            for r in self.rows for _, row in r.values())
-        return self._len
+        return sum(len(row) - row.count(NO_COLOR) for r in self.rows for _, row in r.values())
 
     def __iter__(self) -> Iterator[Seg]:
         return (seg for seg, _ in iter_colored(self.rows))
-
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-    def values(self) -> ValuesView:
-        return _Values(self)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, WindowColors) and other.rows == self.rows:
-            return True
-        return Mapping.__eq__(self, other)
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"WindowColors({self.region!r}, {len(self)} colored)"
 
     def interior(self) -> Rows:
         """The rows with the region's boundary segments uncolored."""
-        if self._interior is None:
-            self._interior = self.on_sides(UNCOLOR)
-        return self._interior
+        return self.on_sides(UNCOLOR)
 
     def on_sides(self, table: bytes) -> Rows:
         """The rows with every boundary byte passed through ``table``."""
@@ -271,18 +238,24 @@ def iter_colored(rows: Rows) -> Iterator[tuple[Seg, Color]]:
                     yield Seg(d, first + i, q), CODE_COLORS[code]
 
 
-class _Items(ItemsView):
-    __slots__ = ()
+def blank_rows(region: Region,
+               code: int = NO_COLOR) -> tuple[dict[int, tuple[int, bytearray]], ...]:
+    """Store rows of the region (its ``segment_rows``) to write into,
+    every byte ``code``."""
+    fill = bytearray([code])
+    return tuple({q: (first, fill * (stop - first)) for q, (first, stop) in extents.items()}
+                 for extents in region.segment_rows())
 
-    def __iter__(self):
-        return iter_colored(self._mapping.rows)
 
-
-class _Values(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return (color for _, color in iter_colored(self._mapping.rows))
+def freeze(region: Region, rows: Iterable[dict[int, tuple[int, bytes]]],
+           table: Optional[bytes] = None) -> "PatternPatch":
+    """The patch of the region whose store is ``rows``, laid out as
+    ``blank_rows`` lays them out, each row made bytes, through ``table``
+    when one is given."""
+    return PatternPatch(region, WindowColors(region, tuple(
+        {q: (first, bytes(row if table is None else row.translate(table)))
+         for q, (first, row) in by_q.items()}
+        for by_q in rows)))
 
 
 @dataclass(frozen=True)
@@ -302,16 +275,23 @@ class PatternPatch:
 
     def __post_init__(self):
         colors = self.colors
-        if not (isinstance(colors, WindowColors) and colors.region == self.region):
-            object.__setattr__(self, "colors", WindowColors.from_mapping(self.region, colors))
+        if isinstance(colors, WindowColors) and colors.region == self.region:
+            return
+        rows = blank_rows(self.region)
+        for seg, color in colors.items():
+            d, p, q = seg
+            entry = rows[d - 1].get(q) if d in (1, 2, 3) else None
+            if entry is None or not 0 <= p - entry[0] < len(entry[1]):
+                raise OutOfRegion(f"{seg} is not a segment of {self.region}")
+            entry[1][p - entry[0]] = COLOR_CODES[color]
+        object.__setattr__(self, "colors", freeze(self.region, rows).colors)
 
     def translate(self, a: int, b: int) -> "PatternPatch":
         if not isinstance(self.region, TriRegion):
             raise ValueError("only triangular patches translate")
-        region = self.region.translate(a, b)
-        rows = tuple({q + b: (first + a, row) for q, (first, row) in r.items()}
-                     for r in self.colors.rows)
-        return PatternPatch(region, WindowColors(region, rows))
+        return freeze(self.region.translate(a, b),
+                      [{q + b: (first + a, row) for q, (first, row) in r.items()}
+                       for r in self.colors.rows])
 
 
 def _layer_colors(seq: FoldingSequence, k: int) -> tuple[Color, Color]:
@@ -332,7 +312,8 @@ def color_of_segment(seq: FoldingSequence, seg: Seg) -> Color:
 
 
 def through_lines(region: Region, rows: Optional[Rows],
-                  line_fn: Callable[[int, int, int, bytearray], Optional[bytes]]) -> Rows:
+                  line_fn: Callable[[int, int, int, bytearray], Optional[bytes]]
+                  ) -> list[dict[int, tuple[int, bytearray]]]:
     """The region's rows rebuilt one grid line at a time.
 
     A segment lies at position t on the line {f_d = v} (``line_position``);
@@ -342,7 +323,7 @@ def through_lines(region: Region, rows: Optional[Rows],
     (positions t0, t0 + 1, ...; None keeps them), and the rows are read
     back: a store row is an extended slice of the grid (step 1, width + 1
     or width).  ``rows`` None starts from NO_COLOR; cells off the window
-    are never read back.
+    are never read back, and the rows come back unfrozen, for ``freeze``.
     """
     out = []
     for d, extents in enumerate(region.segment_rows(), start=1):
@@ -368,11 +349,11 @@ def through_lines(region: Region, rows: Optional[Rows],
             cells = line_fn(d, v0 + dv * (i // width), t0, grid[i:i + width])
             if cells is not None:
                 grid[i:i + width] = cells
-        out.append({q: (first, bytes(grid[cut[q]])) for q, (first, _) in extents.items()})
-    return tuple(out)
+        out.append({q: (first, grid[cut[q]]) for q, (first, _) in extents.items()})
+    return out
 
 
-def _paint(seq: FoldingSequence, region: Region) -> WindowColors:
+def _paint(seq: FoldingSequence, region: Region) -> PatternPatch:
     """The closed form on every segment of the window, a line at a time.
 
     A line is one layer k, and its layer-triangle orientations repeat
@@ -395,7 +376,7 @@ def _paint(seq: FoldingSequence, region: Region) -> WindowColors:
         _, positive = layer_kernel(d, v, range(m, m - 6 * period, -6))
         return (bytes(codes[b] for b in positive) * (n // period + 1))[:n]
 
-    return WindowColors(region, through_lines(region, None, paint))
+    return freeze(region, through_lines(region, None, paint))
 
 
 def patch(seq: FoldingSequence, k: int) -> PatternPatch:
@@ -406,8 +387,7 @@ def patch(seq: FoldingSequence, k: int) -> PatternPatch:
     """
     if not seq.defined_through(k):
         raise OutOfRegion(f"need {k} folds, sequence has {len(seq.word)}")
-    region = standard_region(k)
-    return PatternPatch(region, _paint(seq, region))
+    return _paint(seq, standard_region(k))
 
 
 def ball_patch(seq: FoldingSequence, radius: int) -> PatternPatch:
@@ -421,7 +401,7 @@ def ball_patch(seq: FoldingSequence, radius: int) -> PatternPatch:
                         and shell.contains_interior(Seg(d, stop - 1, q))):
                     raise OutOfRegion(
                         f"radius-{radius} ball exceeds the side-2^{len(seq.word)} patch")
-    return PatternPatch(region, _paint(seq, region))
+    return _paint(seq, region)
 
 
 def recolor(p: PatternPatch, seq: FoldingSequence, to: FoldingSequence) -> PatternPatch:
@@ -447,8 +427,7 @@ def recolor(p: PatternPatch, seq: FoldingSequence, to: FoldingSequence) -> Patte
             raise OutOfRegion(f"layer {k} exceeds source sequence {seq}")
         return cells.translate(SWAP) if seq.a(k) != to.a(k) else None
 
-    rows = through_lines(p.region, p.colors.rows, retarget)
-    return PatternPatch(p.region, WindowColors(p.region, rows))
+    return freeze(p.region, through_lines(p.region, p.colors.rows, retarget))
 
 
 def interior_mismatches(a: PatternPatch, b: PatternPatch) -> list[Seg]:

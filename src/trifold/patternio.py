@@ -4,15 +4,17 @@ Pattern files carry one ``d p q color`` record per segment, sorted by
 (d, p, q), with the records of the region's boundary flagged ``*``.
 The writer reads the window store column by column, which is that
 order, behind one ``"d p "`` prefix per column, and takes the flags
-from the region's closed-form sides.  The reader fills the store
-directly: it rejects records off the region's row extents, records
-that repeat an earlier one, and flags that differ from the boundary its
-region header gives.  Tiling files carry ``orient p q red_count
-[slot]`` records, each a tile of the region when a header names one and
+from the region's closed-form sides.  The reader fills blank store
+rows (``folding.blank_rows``) and freezes them: it rejects records off
+the region's row extents, records that repeat an earlier one, and flags
+that differ from the boundary its region header gives.  Tiling files
+carry ``orient p q red_count [slot]`` records, each a tile of the
+region when a header names one (checked against its rows of tiles) and
 none repeated.  Tilings are keyed by the same anchors (orientation, p,
 q) the records carry, so the writer and the tile renderer sort the keys
 and take a tile's corners and sides from the ``lattice`` tables, and
-the reader keys each record by its own anchor.
+the reader keys each record by its own anchor.  Both formats start
+with a magic line and a ``seq`` or ``seq <text>`` line.
 Serialization is canonical, so read/write round trips
 are byte identical.  Floats appear only in the SVG emitter, at a fixed
 four decimal places; segment coordinates come from integer positions,
@@ -25,7 +27,7 @@ from operator import getitem
 from typing import Iterator
 
 from .errors import ParseError
-from .folding import BLUE_CODE, NO_COLOR, RED_CODE, Color, PatternPatch, WindowColors
+from .folding import BLUE_CODE, NO_COLOR, RED_CODE, Color, PatternPatch, blank_rows, freeze
 from .lattice import (
     NEGATIVE,
     POSITIVE,
@@ -36,6 +38,7 @@ from .lattice import (
     TriRegion,
     Vertex,
     standard_region,
+    tile_rows,
     unit_tile_segments,
 )
 from .tiling import Anchor, DecoratedTile, tile_name
@@ -51,6 +54,16 @@ TILE_HEX = ("#66C2A5", "#FC8D62", "#8DA0CB", "#E78AC8")
 SCALE = 24.0
 STROKE_WIDTH = 2.0
 MARGIN = 8.0
+
+
+def _read_seq(lines: list[str], need: int) -> str:
+    """The sequence text of line 2, which is ``seq`` or ``seq <text>``;
+    a file needs at least ``need`` lines."""
+    if len(lines) < need or not lines[1].startswith("seq"):
+        raise ParseError("missing seq header", 2)
+    if lines[1] != "seq" and lines[1][3] != " ":
+        raise ParseError(f"bad seq header {lines[1]!r}", 2)
+    return lines[1][4:]
 
 
 def _region_header(region: Region) -> str:
@@ -153,13 +166,9 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
     lines = text.splitlines()
     if not lines or lines[0] != PATTERN_MAGIC:
         raise ParseError(f"expected {PATTERN_MAGIC!r} header", 1)
-    if len(lines) < 3 or not lines[1].startswith("seq"):
-        raise ParseError("missing seq header", 2)
-    seq = lines[1][4:]
+    seq = _read_seq(lines, 3)
     region = _parse_region(lines[2].split(), 3)
-    rows = tuple({q: (first, bytearray(bytes([UNREAD]) * (stop - first)))
-                  for q, (first, stop) in extents.items()}
-                 for extents in region.segment_rows())
+    rows = blank_rows(region, UNREAD)
     sides = region.side_rows()
     flagged: set[Seg] = set()  # boundary segments with a flagged record
     stray: tuple[Seg, int] | None = None  # the first flag off the boundary
@@ -204,9 +213,7 @@ def read_pattern(text: str) -> tuple[PatternPatch, str]:
     if len(flagged) != sum(hi - lo for spans in sides for lo, hi in spans.values()):
         seg = min(s for s in region.iter_boundary_segments() if s not in flagged)
         raise ParseError(f"boundary segment {seg} has no flagged record", 3)
-    store = tuple({q: (first, bytes(row.translate(_READ))) for q, (first, row) in r.items()}
-                  for r in rows)
-    return PatternPatch(region, WindowColors(region, store)), seq
+    return freeze(region, rows, _READ), seq
 
 
 def write_tiling(window: dict[Anchor, DecoratedTile], seq: str = "",
@@ -229,12 +236,12 @@ def read_tiling(text: str) -> tuple[dict[Anchor, DecoratedTile], str]:
     lines = text.splitlines()
     if not lines or lines[0] != TILING_MAGIC:
         raise ParseError(f"expected {TILING_MAGIC!r} header", 1)
-    if len(lines) < 2 or not lines[1].startswith("seq"):
-        raise ParseError("missing seq header", 2)
-    seq = lines[1][4:]
-    start, anchors = 2, None
+    seq = _read_seq(lines, 2)
+    start, spans = 2, None
     if len(lines) > 2 and lines[2].startswith("region"):
-        start, anchors = 3, set(_parse_region(lines[2].split(), 3).iter_tile_anchors())
+        region = _parse_region(lines[2].split(), 3)
+        start, spans = 3, {(o, q): (first, stop)
+                           for o, q, first, stop in tile_rows(region.segment_rows())}
     window: dict[Anchor, DecoratedTile] = {}
     for no, raw in enumerate(lines[start:], start=start + 1):
         if not raw.strip():
@@ -254,8 +261,10 @@ def read_tiling(text: str) -> tuple[dict[Anchor, DecoratedTile], str]:
         if (count in (0, 3)) != (slot is None):
             raise ParseError("decoration present iff red count is 1 or 2", no)
         anchor = (POSITIVE if parts[0] == "P" else NEGATIVE, p, q)
-        if anchors is not None and anchor not in anchors:
-            raise ParseError(f"tile {raw!r} is outside the region", no)
+        if spans is not None:
+            first, stop = spans.get((anchor[0], q), (0, 0))
+            if not first <= p < stop:
+                raise ParseError(f"tile {raw!r} is outside the region", no)
         if anchor in window:
             raise ParseError(f"tile {parts[0]} {p} {q} repeats an earlier record", no)
         window[anchor] = DecoratedTile(count, slot)

@@ -37,7 +37,8 @@ from .folding import (
     TILE_SIDES,
     Color,
     PatternPatch,
-    WindowColors,
+    blank_rows,
+    freeze,
 )
 from .lattice import NEGATIVE, POSITIVE, Seg, TriRegion, standard_region, unit_tile_segments
 from .spectral import Mat
@@ -170,9 +171,7 @@ def apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
                            2 * region.w3 - anchor[2])
     # the inflation vertex (pa, qa) moves the children by (-pa, -qa)
     pa, qa = (1 - anchor[2]) // 3, (1 - anchor[0]) // 3
-    out = tuple({q: (first, bytearray([NO_COLOR]) * (stop - first))
-                 for q, (first, stop) in extents.items()}
-                for extents in new_region.segment_rows())
+    out = blank_rows(new_region)
     for o, q, first, codes in patch.colors.tile_codes():
         table = _child_writes(rule, o)
         for i, code in enumerate(codes):
@@ -190,8 +189,7 @@ def apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
                         raise SeamConflict(f"{seg}: {CODE_COLORS[prev].value} vs "
                                            f"{CODE_COLORS[color].value}")
                     row[j] = color
-    rows = tuple({q: (first, bytes(row)) for q, (first, row) in r.items()} for r in out)
-    return PatternPatch(new_region, WindowColors(new_region, rows))
+    return freeze(new_region, out)
 
 
 def seed_patch(seed: TriangleColoring) -> PatternPatch:

@@ -35,6 +35,7 @@ from .lattice import (
     incident_segments,
     line_of,
     line_position,
+    segment_at,
     unit_tile_segments,
 )
 
@@ -126,22 +127,18 @@ def reconstruct(window: dict[Anchor, int],
             for seg in sides[a]:
                 paint(seg, col)
 
-    # 2. finest-layer lines show alternating runs of three
-    by_line: dict[tuple[int, int], dict[int, Seg]] = {}
-    for segs in sides.values():
-        for seg in segs:
-            v, pos = line_position(seg)
-            by_line.setdefault((seg.d, v), {})[pos] = seg
+    # 2. finest-layer lines show alternating runs of three; only tile
+    # sides are painted, so a painted neighbour is one
     finest_lines: set[Line] = set()
-    for (d, v), segs in by_line.items():
-        for pos, seg in segs.items():
-            c0 = colors.get(seg)
-            if c0 is None:
-                continue
-            other = c0.swapped
-            if colors.get(segs.get(pos - 1)) is other and colors.get(segs.get(pos + 1)) is other:
-                finest_lines.add(Line(d, v))
-                break
+    for seg, c0 in colors.items():
+        v, pos = line_position(seg)
+        line = Line(seg.d, v)
+        if line in finest_lines:
+            continue
+        other = c0.swapped
+        if (colors.get(segment_at(seg.d, v, pos - 1)) is other
+                and colors.get(segment_at(seg.d, v, pos + 1)) is other):
+            finest_lines.add(line)
 
     # 3. hexagons of the identified layer: centers are the vertices all
     # of whose surrounding outer sides lie on identified lines

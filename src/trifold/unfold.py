@@ -25,7 +25,7 @@ from .folding import (
     SWAP,
     UP,
     PatternPatch,
-    WindowColors,
+    freeze,
     through_lines,
 )
 from .lattice import Line, TriRegion, line_position, reflect_segment, segment_at, standard_region
@@ -109,7 +109,7 @@ def unfold_once(patch: PatternPatch, fold: MixedFold) -> PatternPatch:
         return cells
 
     through_lines(patch.region, patch.colors.interior(), mirror)
-    return PatternPatch(big, WindowColors(big, through_lines(big, None, emit)))
+    return freeze(big, through_lines(big, None, emit))
 
 
 def unfold_pattern(folds: list[MixedFold]) -> PatternPatch:

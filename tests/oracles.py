@@ -111,7 +111,8 @@ def brute_layer_triangles(k: int, value_bound: int) -> dict[Seg, TriRegion]:
                 if c in valset:
                     tri = TriRegion(a, b, c)
                     for seg in triangle_boundary_segments(tri):
-                        assert seg not in out, f"{seg} in two layer-{k} triangles"
+                        if seg in out:
+                            raise AssertionError(f"{seg} in two layer-{k} triangles")
                         out[seg] = tri
     return out
 

@@ -232,6 +232,22 @@ def test_repeated_records_exit_two(tmp_path, capsys):
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
 
 
+def test_malformed_seq_header_exits_two(tmp_path, capsys):
+    pat, lines = _tiling_inputs(tmp_path, capsys)
+    bad_pat = tmp_path / "bad.pat"
+    head, _, *rest = pat.read_text().splitlines()
+    bad_pat.write_text("\n".join([head, "seqX(+)*", *rest]) + "\n")
+    code, _, err = run(capsys, "render", "--in", str(bad_pat), "--svg", str(tmp_path / "b.svg"))
+    assert code == 2 and "error:" in err
+    assert not (tmp_path / "b.svg").exists()
+
+    til = tmp_path / "bad.til"
+    til.write_text("\n".join([lines[0], "seqX(+)*", *lines[2:]]) + "\n")
+    code, out, err = run(capsys, "reconstruct", "--in", str(til), "--ref", str(pat))
+    assert code == 2 and "reconstructed" not in out
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
 def test_reconstruct_failure_names_a_tiling_record(tmp_path, capsys):
     # one count near the center swapped 1 <-> 2: reconstruct exits 1 and
     # names the tile it caught the way the file's records name tiles

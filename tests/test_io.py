@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 
-from oracles import interior_colors
+from oracles import interior_colors, scan_ball
 from trifold.errors import ParseError
 from trifold.folding import FoldingSequence, ball_patch, patch
-from trifold.lattice import Seg
+from trifold.lattice import NEGATIVE, POSITIVE, Seg
 from trifold.patternio import (
     read_pattern,
     read_tiling,
@@ -12,7 +14,7 @@ from trifold.patternio import (
     write_pattern,
     write_tiling,
 )
-from trifold.tiling import to_tiling
+from trifold.tiling import tile_name, to_tiling
 
 
 def test_pattern_roundtrip_triangle():
@@ -174,6 +176,54 @@ def test_tiling_rejects_bad_region_and_outside_tiles():
     # without a header any tile is accepted
     back, _ = read_tiling("\n".join(lines[:2] + ["P 40 40 3"]) + "\n")
     assert len(back) == 1
+
+
+@pytest.mark.parametrize("bad", ["seqX(+)*", "seq(+)*", "sequence", "Seq (+)*", "seq\t(+)*", ""])
+def test_readers_reject_a_malformed_seq_header(bad):
+    p = ball_patch(FoldingSequence.parse("(+)*"), 2)
+    for read, text in ((read_pattern, write_pattern(p, "(+)*")),
+                       (read_tiling, write_tiling(to_tiling(p), "(+)*", p.region))):
+        head, line, *rest = text.splitlines()
+        assert line == "seq (+)*"
+        with pytest.raises(ParseError) as info:
+            read("\n".join([head, bad, *rest]) + "\n")
+        assert info.value.line == 2
+        for good, seq in (("seq", ""), ("seq ", ""), ("seq x  y", "x  y")):
+            assert read("\n".join([head, good, *rest]) + "\n")[1] == seq
+
+
+def test_tiling_region_check_follows_tile_rows():
+    # on each tile row the last tile inside the ball is accepted and the
+    # next one rejected, and the first one likewise
+    for radius in (1, 4, 9):
+        anchors = scan_ball(radius)[1]
+        head = f"trifold-tiling v1\nseq x\nregion ball {radius}\n"
+        for o, q in {(o, q) for o, _, q in anchors}:
+            ps = [p for a, p, b in anchors if (a, b) == (o, q)]
+            assert len(ps) == max(ps) - min(ps) + 1
+            for inside, outside in ((max(ps), max(ps) + 1), (min(ps), min(ps) - 1)):
+                assert list(read_tiling(head + f"{tile_name(o, inside, q)} 3\n")[0]) == [
+                    (o, inside, q)]
+                with pytest.raises(ParseError) as info:
+                    read_tiling(head + f"{tile_name(o, outside, q)} 3\n")
+                assert info.value.line == 4
+        rows = {q for _, _, q in anchors}
+        for o in (POSITIVE, NEGATIVE):
+            with pytest.raises(ParseError):
+                read_tiling(head + f"{tile_name(o, 0, max(rows) + 1)} 3\n")
+
+
+def test_tiling_region_check_does_not_list_the_region_tiles():
+    # a ball of radius 400 holds ~1.1 million tiles; checking a record
+    # against the header's tile rows needs memory for its ~1,600 rows only
+    tracemalloc.start()
+    try:
+        window, _ = read_tiling("trifold-tiling v1\nseq x\nregion ball 400\nP 0 0 3\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert window == {(POSITIVE, 0, 0): (3, None)}
+    assert peak < 4_000_000
 
 
 def test_tiling_roundtrip():

@@ -36,7 +36,7 @@ from trifold.folding import (
     recolor,
 )
 from trifold.lattice import BallRegion, Seg, TriRegion, standard_region
-from trifold.patternio import read_pattern, write_pattern
+from trifold.patternio import read_pattern, read_tiling, write_pattern, write_tiling
 from trifold.substitution import class_index
 from trifold.tiling import decorate, to_tiling
 
@@ -236,6 +236,50 @@ def test_one_broken_record_only_raises_parse_error(window, how, pick, slot, toke
         gone = Seg(d, a, b)
         assert gone not in set(p.region.iter_boundary_segments())
         assert back.colors == {s: c for s, c in p.colors.items() if s != gone}
+
+
+@exact
+@given(windows, st.booleans())
+def test_tiling_write_read_write_is_byte_identical(window, header):
+    p = _painted(*window)
+    region = p.region if header else None
+    tiles = to_tiling(p)
+    text = write_tiling(tiles, "s", region)
+    back, seq = read_tiling(text)
+    assert seq == "s" and back == tiles
+    assert write_tiling(back, seq, region) == text
+
+
+_TILE_TOKENS = st.sampled_from(["P", "N", "Q", "0", "1", "2", "3", "4", "-1", "99", "x", "", "1 2"])
+
+
+@settings(deadline=None, max_examples=60)
+@given(windows, st.booleans(), st.sampled_from(("delete", "duplicate", "alter")),
+       st.integers(0, 10 ** 6), st.integers(0, 4), _TILE_TOKENS)
+def test_one_broken_tile_record_only_raises_parse_error(window, header, how, pick, slot, token):
+    p = _painted(*window)
+    tiles = to_tiling(p)
+    lines = write_tiling(tiles, "s", p.region if header else None).splitlines()
+    start = 3 if header else 2
+    if len(lines) == start:
+        return
+    i = start + pick % (len(lines) - start)
+    if how == "delete":
+        broken = lines[:i] + lines[i + 1:]
+    elif how == "duplicate":
+        broken = lines + [lines[i]]
+    else:
+        parts = lines[i].split()
+        parts[slot % len(parts)] = token
+        broken = lines[:i] + [" ".join(parts)] + lines[i + 1:]
+        if broken[i] == lines[i]:
+            return
+    try:
+        back, _ = read_tiling("\n".join(broken) + "\n")
+    except ParseError as exc:
+        assert exc.line is not None
+        return
+    assert back != tiles
 
 
 @exact
