@@ -117,13 +117,17 @@ def tile_class_counts(patch: PatternPatch) -> tuple[int, ...]:
 
 def period_check(patch: PatternPatch, max_norm: int) -> list[tuple[int, int]]:
     """Nonzero grid translations of length <= max_norm under which the
-    window coloring agrees with itself on the overlap."""
+    window coloring agrees with itself on the overlap.  A window with no
+    colored interior segment, such as a missing layer, raises
+    WindowTooSmall: it would keep every translation."""
     if max_norm < 1:
         raise ValueError("max_norm must be positive")
     if not patch.region.contains_ball_of_radius(2 * max_norm):
         raise WindowTooSmall(
             f"window cannot certify periods up to norm {max_norm}")
     rows = patch.colors.interior()
+    if all(row.count(NO_COLOR) == len(row) for by_q in rows for _, row in by_q.values()):
+        raise WindowTooSmall("window has no colored interior segment")
     survivors = []
     limit = max_norm * max_norm
     for a in range(-max_norm, max_norm + 1):

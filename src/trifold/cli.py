@@ -63,6 +63,9 @@ def _colored_patch(seq_text: str, size: int | None,
         folds = unfold.parse_mixed_word(seq_text)
         if ball is not None:
             raise TrifoldError("mixed foldings render on triangle windows only")
+        if size not in (None, len(folds)):
+            raise TrifoldError(f"--size {size} does not match the {len(folds)} folds "
+                               f"of the mixed word")
         return unfold.unfold_pattern(folds), seq_text
     seq = FoldingSequence.parse(seq_text)
     if ball is not None:
@@ -225,20 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triangular paperfolding patterns: generate, verify, analyze.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_window(p, need_seq=True):
-        if need_seq:
-            p.add_argument("--seq", type=_folding_text, required=True,
-                           help='folding sequence: "+-+", "(+-)*", or mixed "++-,+++"')
-        p.add_argument("--size", type=_nonnegative_int, default=None,
-                       help="triangle window exponent k (side 2^k)")
-        p.add_argument("--ball", type=_nonnegative_int, default=None,
-                       help="ball window radius (instead of --size)")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="accepted for compatibility and ignored")
+    def add_window(p):
+        p.add_argument("--seq", type=_folding_text, required=True,
+                       help='folding sequence: "+-+", "(+-)*", or mixed "++-,+++"')
+        window = p.add_mutually_exclusive_group()
+        window.add_argument("--size", type=_nonnegative_int, default=None,
+                            help="triangle window exponent k (side 2^k)")
+        window.add_argument("--ball", type=_nonnegative_int, default=None,
+                            help="ball window radius (instead of --size)")
 
     p = sub.add_parser("generate", help="write a pattern file")
     add_window(p)
     p.add_argument("--out", required=True)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted for compatibility and ignored")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("render", help="render a pattern file to SVG")
@@ -271,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also check N random words")
     p.add_argument("--length", type=_positive_int, default=5)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted for compatibility and ignored")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reconstruct", help="rebuild a pattern from a tiling file")

@@ -139,12 +139,6 @@ def unit_tile_segments(o: int, p: int, q: int) -> tuple[Seg, ...]:
     return tuple(Seg(d, p + dp, q + dq) for d, dp, dq in TILE_SEGMENTS[o])
 
 
-def incident_segments(vertex: Vertex) -> tuple[Seg, ...]:
-    """The six unit segments at a vertex, counterclockwise from east."""
-    p, q = vertex
-    return tuple(Seg(d, p + dp, q + dq) for d, dp, dq in SPOKES)
-
-
 def seg_between(u: Vertex, v: Vertex) -> Seg:
     """The canonical segment joining two adjacent vertices."""
     dp, dq = v.p - u.p, v.q - u.q

@@ -15,8 +15,10 @@ Tilings are dicts keyed by tile anchor (orientation, p, q), the key the
 window store, the ``lattice`` tables and tiling files use too, and a
 tile is named as its tiling-file record names it (``tile_name``).
 ``to_tiling`` labels tile codes through ``DECORATIONS``, the table the
-tile statistics share.  ``reconstruct`` lists each tile's sides once
-and finds a hexagon by translating the ``lattice`` tables.
+tile statistics share.  ``reconstruct`` lists each tile's sides once;
+its hexagon centers are positive anchors (``AROUND`` puts the positive
+tile anchored at a vertex first), and a hexagon is ``AROUND`` and
+``SPOKES`` moved to its center.
 """
 
 from __future__ import annotations
@@ -28,12 +30,8 @@ from .folding import TILE_SIDES, Color, PatternPatch
 from .lattice import (
     AROUND,
     POSITIVE,
-    TILE_VERTICES,
-    Line,
+    SPOKES,
     Seg,
-    Vertex,
-    incident_segments,
-    line_of,
     line_position,
     segment_at,
     unit_tile_segments,
@@ -89,22 +87,16 @@ def strip_decoration(window: dict[Anchor, DecoratedTile]) -> dict[Anchor, int]:
     return {a: t.red_count for a, t in window.items()}
 
 
-def _around(center: Vertex) -> tuple[list[Anchor], list[Seg]]:
-    """The anchors of the six tiles around a vertex and their outer
-    sides; tile i lies between spokes i and i + 1 of incident_segments."""
-    p, q = center
-    return ([(o, p + a, q + b) for o, a, b, _ in AROUND],
-            [Seg(d, p + a, q + b) for _, _, _, (d, a, b) in AROUND])
-
-
 def reconstruct(window: dict[Anchor, int],
                 targets: Optional[Iterable[Seg]] = None) -> dict[Seg, Color]:
     """Rebuild segment colors from undecorated red counts, by tile anchor.
 
-    Returns every decidable segment, or exactly the requested targets.
-    Raises Inconsistent, naming a tile by its record, when the counts
-    admit no coloring (corrupted input) and Undecidable when a requested
-    segment cannot be settled inside the window.
+    Returns the monochrome tiles' sides and the spokes of solved
+    hexagons, or exactly the requested targets; some segments near the
+    rim that the counts force are not among them.  Raises Inconsistent,
+    naming a tile by its record, when the counts admit no coloring
+    (corrupted input) and Undecidable when a requested segment is not
+    settled.
     """
     for a, count in window.items():
         if not 0 <= count <= 3:
@@ -127,12 +119,12 @@ def reconstruct(window: dict[Anchor, int],
             for seg in sides[a]:
                 paint(seg, col)
 
-    # 2. finest-layer lines show alternating runs of three; only tile
-    # sides are painted, so a painted neighbour is one
-    finest_lines: set[Line] = set()
+    # 2. finest-layer lines (d, v) show alternating runs of three; only
+    # tile sides are painted, so a painted neighbour is one
+    finest_lines: set[tuple[int, int]] = set()
     for seg, c0 in colors.items():
         v, pos = line_position(seg)
-        line = Line(seg.d, v)
+        line = (seg.d, v)
         if line in finest_lines:
             continue
         other = c0.swapped
@@ -140,37 +132,39 @@ def reconstruct(window: dict[Anchor, int],
                 and colors.get(segment_at(seg.d, v, pos + 1)) is other):
             finest_lines.add(line)
 
-    # 3. hexagons of the identified layer: centers are the vertices all
-    # of whose surrounding outer sides lie on identified lines
+    # 3. hexagons of the identified layer, one candidate center per
+    # positive anchor: its six tiles must be there and its six outer
+    # sides painted on identified lines
+    o0, p0, q0, _ = AROUND[0]
     centers = []
-    seen = set()
     for o, p, q in window:
-        for dp, dq in TILE_VERTICES[o]:
-            center = Vertex(p + dp, q + dq)
-            if center in seen:
-                continue
-            seen.add(center)
-            tiles, outer = _around(center)
-            if (all(t in window for t in tiles)
-                    and all(line_of(s) in finest_lines and s in colors for s in outer)):
-                centers.append(center)
+        if o != o0:
+            continue
+        p, q = p - p0, q - q0
+        outer = [Seg(d, p + a, q + b) for _, _, _, (d, a, b) in AROUND]
+        if (all((t, p + a, q + b) in window for t, a, b, _ in AROUND)
+                and all(s in colors and (s.d, line_position(s)[0]) in finest_lines
+                        for s in outer)):
+            centers.append((p, q))
 
-    for center in centers:
-        (tiles, outer), spokes = _around(center), incident_segments(center)
+    for p, q in centers:
+        # tile i has sides outer i, spokes i and i + 1
+        spokes = [Seg(d, p + a, q + b) for d, a, b in SPOKES]
+        hexagon = [((t, p + a, q + b), (Seg(d, p + e, q + f), spokes[i], spokes[(i + 1) % 6]))
+                   for i, (t, a, b, (d, e, f)) in enumerate(AROUND)]
         progress = True
         while progress:
             progress = False
-            for i in range(6):
-                sides_i = (outer[i], spokes[i], spokes[(i + 1) % 6])
-                known = [colors.get(s) for s in sides_i]
+            for tile, segs in hexagon:
+                known = [colors.get(s) for s in segs]
                 reds = sum(c is RED for c in known)
-                missing = [s for s, c in zip(sides_i, known) if c is None]
+                missing = [s for s, c in zip(segs, known) if c is None]
                 # a tile with no side missing is checked in stage 4
                 if len(missing) == 1:
-                    count = window[tiles[i]]
+                    count = window[tile]
                     need = count - reds
                     if need not in (0, 1):
-                        raise Inconsistent(f"tile {tile_name(*tiles[i])}: "
+                        raise Inconsistent(f"tile {tile_name(*tile)}: "
                                            f"red count {count} impossible")
                     paint(missing[0], RED if need else BLUE)
                     progress = True

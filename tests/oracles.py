@@ -12,14 +12,15 @@ and unit tiles are found by testing every segment or tile in the
 window's bounding box: a triangle's with the midpoint predicates
 ``TriRegion.contains_interior`` and ``is_boundary``, a ball's with the
 exact Cartesian norm ``norm_sq_times_12``.  ``reflect_line`` is the
-line form of the library's vertex and segment reflections.  Matrix
-products and ranks are taken over plain `Fraction`s, with no integer
-shortcuts.  Pattern windows are painted into plain dicts one segment
-at a time with `color_of_segment`, and recolored, filtered and
-translated one segment at a time.  The unfolder and the substituter
-keep their segment-at-a-time forms: ``dict_unfold_once`` reflects
-every segment with ``reflect_segment`` and keeps the images that
-``contains_interior`` accepts, and ``dict_apply_rule_patch`` places
+line form of the library's vertex and segment reflections, and
+``incident_segments`` lists a vertex's six spokes from the ``SPOKES``
+table.  Matrix products and ranks are taken over plain `Fraction`s,
+with no integer shortcuts.  Pattern windows are painted into plain
+dicts one segment at a time with `color_of_segment`, and recolored,
+filtered and translated one segment at a time.  The unfolder and the
+substituter keep their segment-at-a-time forms: ``dict_unfold_once``
+reflects every segment with ``reflect_segment`` and keeps the images
+that ``contains_interior`` accepts, and ``dict_apply_rule_patch`` places
 each tile's four children as side values and writes their
 ``unit_sides`` into a dict.  ``full_tiles`` decodes a window's tile
 codes into (anchor, side colors) pairs.  ``dict_reconstruct`` is the
@@ -48,11 +49,11 @@ from trifold.folding import (
 from trifold.lattice import (
     NEGATIVE,
     POSITIVE,
+    SPOKES,
     Line,
     Seg,
     TriRegion,
     Vertex,
-    incident_segments,
     layer_data,
     layer_of,
     line_of,
@@ -138,6 +139,13 @@ def reflect_line(line: Line, mirror: Line) -> Line:
         return Line(d, 2 * V - line.v)
     (other,) = [i for i in (1, 2, 3) if i != d and i != line.d]
     return Line(other, -line.v - V)
+
+
+def incident_segments(vertex: Vertex) -> tuple[Seg, ...]:
+    """The six unit segments at a vertex, counterclockwise from east,
+    read off the library's ``SPOKES`` table."""
+    p, q = vertex
+    return tuple(Seg(d, p + dp, q + dq) for d, dp, dq in SPOKES)
 
 
 def norm_sq_times_12(p: int, q: int) -> int:

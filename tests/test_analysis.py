@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import disallowed_stars, layer_block_check
+from oracles import disallowed_stars, incident_segments, layer_block_check
 from trifold.analysis import (
     decorated_type_counts,
     filter_layer,
@@ -15,7 +15,7 @@ from trifold.analysis import (
 )
 from trifold.errors import WindowTooSmall
 from trifold.folding import Color, FoldingSequence, PatternPatch, ball_patch, patch
-from trifold.lattice import BallRegion, Seg, Vertex, incident_segments
+from trifold.lattice import BallRegion, Seg, Vertex
 from trifold.spectral import word_matrix
 
 ALL_UP = FoldingSequence.parse("(+)*")

@@ -108,6 +108,9 @@ def test_stars_and_period(capsys):
     code, out, _ = run(capsys, "stars", "--seq", "++-,+++", "--assert-allowed")
     assert code == 1
     assert "allowed: false" in out
+    # a mixed word's own size may be given
+    assert run(capsys, "stars", "--seq", "++-,+++", "--size", "2",
+               "--assert-allowed")[:2] == (code, out)
 
     code, out, _ = run(capsys, "period", "--seq", "(+)*", "--ball", "16",
                        "--max-norm", "2", "--assert-none")
@@ -161,6 +164,11 @@ def test_byte_identical_outputs_and_threads(tmp_path, capsys):
     ["generate", "--seq", "(+)*", "--size", "2", "--threads", "0", "--out", "x.pat"],
     ["reconstruct", "--in", "x.til", "--margin", "-1"],
     ["density", "--word", "+", "--steps", "0"],
+    ["stars", "--seq", "(+)*", "--size", "3", "--ball", "4"],
+    ["stars", "--seq", "++-,+++", "--size", "9"],
+    ["period", "--seq", "(+)*", "--ball", "24", "--max-norm", "2", "--layer", "40",
+     "--assert-none"],
+    ["stars", "--seq", "(+)*", "--size", "2", "--threads", "2"],
 ])
 def test_malformed_argv_exits_two(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     brute_layer_triangles,
+    incident_segments,
     is_boundary,
     layer_triangle_of,
     norm_sq_times_12,
@@ -27,7 +28,6 @@ from trifold.lattice import (
     Seg,
     TriRegion,
     Vertex,
-    incident_segments,
     layer_data,
     layer_kernel,
     layer_of,
