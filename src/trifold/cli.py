@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, folding, patternio, spectral, substitution, tiling, unfold
-from .errors import Inconsistent, TrifoldError, Undecidable
+from .errors import Inconsistent, ParseError, TrifoldError, Undecidable
 from .folding import FoldingSequence, PatternPatch
 from .lattice import layer_of
 
@@ -57,6 +57,17 @@ _nonnegative_int = _int_at_least(0, "nonnegative")
 _positive_int = _int_at_least(1, "positive")
 
 
+def _read_file(path: str) -> str:
+    """A pattern or tiling file's text, read as UTF-8; bytes that do not
+    decode are a ParseError on the line that holds them."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _colored_patch(seq_text: str, size: int | None,
                    ball: int | None) -> tuple[PatternPatch, str]:
     if "," in seq_text:
@@ -80,19 +91,19 @@ def _colored_patch(seq_text: str, size: int | None,
 def cmd_generate(args) -> int:
     patch, seq = _colored_patch(args.seq, args.size, args.ball)
     text = patternio.write_pattern(patch, seq)
-    Path(args.out).write_text(text)
+    Path(args.out).write_text(text, encoding="utf-8")
     print(f"wrote {args.out}: {len(patch.colors)} segments")
     return 0
 
 
 def cmd_render(args) -> int:
-    patch, seq = patternio.read_pattern(Path(args.infile).read_text())
+    patch, seq = patternio.read_pattern(_read_file(args.infile))
     if args.tiles:
         window = tiling.to_tiling(patch)
         svg = patternio.render_tiling_svg(window)
     else:
         svg = patternio.render_svg(patch)
-    Path(args.svg).write_text(svg)
+    Path(args.svg).write_text(svg, encoding="utf-8")
     print(f"wrote {args.svg}")
     return 0
 
@@ -169,7 +180,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    window, seq = patternio.read_tiling(Path(args.infile).read_text())
+    window, seq = patternio.read_tiling(_read_file(args.infile))
     stripped = tiling.strip_decoration(window)
     try:
         colors = tiling.reconstruct(stripped)
@@ -178,7 +189,7 @@ def cmd_reconstruct(args) -> int:
         return 1
     print(f"reconstructed {len(colors)} segments")
     if args.ref:
-        ref, _ = patternio.read_pattern(Path(args.ref).read_text())
+        ref, _ = patternio.read_pattern(_read_file(args.ref))
         eroded = ref.region.erode(args.margin)
         bad = 0
         checked = 0

@@ -4,21 +4,28 @@ Pattern files carry one ``d p q color`` record per segment, sorted by
 (d, p, q), with the records of the region's boundary flagged ``*``.
 The writer reads the window store column by column, which is that
 order, behind one ``"d p "`` prefix per column, and takes the flags
-from the region's closed-form sides.  The reader fills blank store
-rows (``folding.blank_rows``) and freezes them: it rejects records off
-the region's row extents, records that repeat an earlier one, and flags
-that differ from the boundary its region header gives.  Tiling files
-carry ``orient p q red_count [slot]`` records, each a tile of the
-region when a header names one (checked against its rows of tiles) and
-none repeated.  Tilings are keyed by the same anchors (orientation, p,
-q) the records carry, so the writer and the tile renderer sort the keys
-and take a tile's corners and sides from the ``lattice`` tables, and
-the reader keys each record by its own anchor.  Both formats start
-with a magic line and a ``seq`` or ``seq <text>`` line.
-Serialization is canonical, so read/write round trips
-are byte identical.  Floats appear only in the SVG emitter, at a fixed
-four decimal places; segment coordinates come from integer positions,
-one text per x value and per row.
+from the region's closed-form sides.  The reader takes a canonical
+file, the text the writer makes, a column block at a time into a
+padded column grid, and keeps the result only when the writer gives
+the text back byte for byte.  Any other file is read record by record
+into blank store rows (``folding.blank_rows``), and only that path
+raises: it rejects records off the region's row extents, records that
+repeat an earlier one, flags that differ from the boundary its region
+header gives, and a triangle header with more boundary segments than
+the file has lines.  Both paths end in ``freeze``.
+
+Tiling files carry ``orient p q red_count [slot]`` records, each a
+tile of the region when a header names one (checked against its rows
+of tiles) and none repeated.  Tilings are keyed by the same anchors
+(orientation, p, q) the records carry, so the writer and the tile
+renderer sort the keys and take a tile's corners and sides from the
+``lattice`` tables, and the reader keys each record by its own anchor.
+Both formats start with a magic line and a ``seq`` or ``seq <text>``
+line.  Serialization is canonical, so read/write round trips are byte
+identical.  Floats appear only in the SVG emitter, at a fixed four
+decimal places; segment coordinates come from integer positions, one
+text per x value and per row, and a column's ``<line>`` texts are
+joined from those pieces.
 """
 
 from __future__ import annotations
@@ -75,19 +82,39 @@ def _region_header(region: Region) -> str:
     return f"region tri {region.w1} {region.w2} {region.w3}"
 
 
-def _parse_region(parts: list[str], line_no: int) -> Region:
+def _parse_region(parts: list[str], line_no: int, records: int | None = None) -> Region:
+    """The region a header line names.
+
+    ``records`` is given for a pattern file: the number of lines after
+    its header.  Each of a triangle's 3 * side boundary segments needs a
+    flagged record among them, so a larger triangle is refused before
+    anything is laid out by its size, and ``triangle k`` with 2^k above
+    ``records`` before (-2)^k is computed.
+    """
+    region = None
     try:
         if parts[:2] == ["region", "ball"] and len(parts) == 3 and int(parts[2]) >= 0:
             return BallRegion(int(parts[2]))
         if parts[:2] == ["region", "triangle"] and len(parts) == 3 and int(parts[2]) >= 0:
-            return standard_region(int(parts[2]))
-        if parts[:2] == ["region", "tri"] and len(parts) == 5:
-            region = TriRegion(int(parts[2]), int(parts[3]), int(parts[4]))
-            if region.side and all(w % 3 == 1 for w in region):
-                return region
+            if records is not None and int(parts[2]) >= records.bit_length():
+                raise _unfillable(parts, records, line_no)
+            region = standard_region(int(parts[2]))
+        elif parts[:2] == ["region", "tri"] and len(parts) == 5:
+            tri = TriRegion(int(parts[2]), int(parts[3]), int(parts[4]))
+            if tri.side and all(w % 3 == 1 for w in tri):
+                region = tri
     except ValueError:
         pass
-    raise ParseError(f"bad region {' '.join(parts)!r}", line_no)
+    if region is None:
+        raise ParseError(f"bad region {' '.join(parts)!r}", line_no)
+    if records is not None and 3 * region.side > records:
+        raise _unfillable(parts, records, line_no)
+    return region
+
+
+def _unfillable(parts: list[str], records: int, line_no: int) -> ParseError:
+    return ParseError(f"{' '.join(parts)!r} needs more flagged records than the "
+                      f"{records} lines after it", line_no)
 
 
 #: Extra byte codes the text formats use beside the store's: a boundary
@@ -105,6 +132,7 @@ _COLORED_PASS = bytes(c if c in (BLUE_CODE, RED_CODE, BLUE_CODE + BOUNDARY, RED_
                       else ABSENT for c in range(256))
 _UNKNOWN_PASS = bytes(c if c == NO_COLOR + BOUNDARY else ABSENT for c in range(256))
 _CODES = {Color.BLUE.value: BLUE_CODE, Color.RED.value: RED_CODE}
+_UNCOLORED = bytes([NO_COLOR])
 
 
 def _columns(by_q: dict[int, tuple[int, bytes]]
@@ -163,11 +191,108 @@ def write_pattern(patch: PatternPatch, seq: str = "") -> str:
 
 
 def read_pattern(text: str) -> tuple[PatternPatch, str]:
+    """The patch and seq of a pattern file.
+
+    A canonical file, the text ``write_pattern`` makes, is read a column
+    block at a time (``_read_columns``); any other text, valid or not,
+    is read record by record, which alone raises, so every ParseError
+    names the same record and line either way.
+    """
+    return _read_columns(text) or _read_records(text)
+
+
+#: Record text after "d p q", with the store code it reads as (a
+#: boundary code is the store code plus BOUNDARY).
+_TAIL_CODES = {tail: code % BOUNDARY for code, tail in enumerate(_RECORD_TAILS) if tail}
+
+
+def _read_columns(text: str) -> tuple[PatternPatch, str] | None:
+    """The patch and seq of a canonical pattern file, or None.
+
+    The writer emits each column as one block of ``"d p q tail"`` lines
+    behind a shared ``"d p "`` prefix, q ascending.  A block is split on
+    its prefix once, its records looked up in per-direction dicts
+    (``"q tail"`` to row index and to code) and written into a padded
+    grid of the direction's rows, the layout of ``_columns``, with one
+    extended-slice assignment.  The result stands only when
+    ``write_pattern`` gives the text back byte for byte, so a file this
+    accepts reads the same record by record.  A header whose window has
+    more segments than the file has lines is left to ``_read_records``.
+    """
+    head = text.split("\n", 3)
+    if len(head) < 4 or head[0] != PATTERN_MAGIC or head[1][:4] != "seq " \
+            or head[1].splitlines() != [head[1]]:
+        return None
+    body = head[3]
+    records = body.count("\n")
+    try:
+        region = _parse_region(head[2].split(), 3, records)
+    except ParseError:
+        return None
+    # a ball of radius r has at least r segments, so the rows below stay
+    # within the file's size (a triangle's header check already sees to it)
+    if isinstance(region, BallRegion) and region.radius > records:
+        return None
+    extents = region.segment_rows()
+    if sum(stop - first for by_q in extents for first, stop in by_q.values()) != records:
+        return None
+    grids = []
+    for by_q in extents:
+        qs = list(by_q)
+        lo = min((first for first, _ in by_q.values()), default=0)
+        width = max((stop for _, stop in by_q.values()), default=lo) - lo
+        keys = [(f"{q}{tail}", i, code) for i, q in enumerate(qs)
+                for tail, code in _TAIL_CODES.items()]
+        grids.append((lo, width, len(qs), bytearray([NO_COLOR]) * (len(qs) * width),
+                      {key: i for key, i, _ in keys}, {key: code for key, _, code in keys}))
+    pos = 0
+    while pos < len(body):
+        cut = body.find(" ", body.find(" ", pos) + 1) + 1
+        prefix = body[pos:cut]
+        try:
+            d, p = map(int, prefix.split())
+        except ValueError:
+            return None
+        if d not in (1, 2, 3):
+            return None
+        lo, width, height, grid, row_of, code_of = grids[d - 1]
+        # the block ends where the next column's begins, nearly always
+        # column p + 1, within the longest lines of a full column; when
+        # that misses, the block's lines are walked
+        stop = body.find(f"\n{d} {p + 1} ", pos, pos + height * (len(prefix) + 20)) + 1
+        if not stop or body.count("\n", pos, stop) != body.count("\n" + prefix, pos, stop) + 1:
+            stop = pos
+            while body.startswith(prefix, stop):
+                stop = body.find("\n", stop) + 1
+                if not stop:
+                    return None
+        block = body[pos + len(prefix):stop - 1].split("\n" + prefix)
+        try:
+            codes = bytes(map(code_of.__getitem__, block))
+            i = row_of[block[0]]
+        except KeyError:
+            return None
+        j = p - lo
+        if not 0 <= j < width or row_of[block[-1]] != i + len(block) - 1:
+            return None
+        grid[j + i * width:j + (i + len(block)) * width:width] = codes
+        pos = stop
+    rows = []
+    for by_q, (lo, width, _, grid, _, _) in zip(extents, grids):
+        grid = bytes(grid)
+        rows.append({q: (first, grid[i * width + first - lo:i * width + stop - lo])
+                     for i, (q, (first, stop)) in enumerate(by_q.items())})
+    patch, seq = freeze(region, rows), head[1][4:]
+    return (patch, seq) if write_pattern(patch, seq) == text else None
+
+
+def _read_records(text: str) -> tuple[PatternPatch, str]:
+    """Any pattern file, record by record: the one reader that raises."""
     lines = text.splitlines()
     if not lines or lines[0] != PATTERN_MAGIC:
         raise ParseError(f"expected {PATTERN_MAGIC!r} header", 1)
     seq = _read_seq(lines, 3)
-    region = _parse_region(lines[2].split(), 3)
+    region = _parse_region(lines[2].split(), 3, len(lines) - 3)
     rows = blank_rows(region, UNREAD)
     sides = region.side_rows()
     flagged: set[Seg] = set()  # boundary segments with a flagged record
@@ -308,6 +433,10 @@ def render_svg(patch: PatternPatch) -> str:
     x_text, y_text = [_fmt(x) for x in x_at], [_fmt(y) for y in y_at]
     tails = [f'" stroke="{hexcol}" stroke-width="{_fmt(STROKE_WIDTH)}" stroke-linecap="round"/>'
              for hexcol in (BLUE_HEX, RED_HEX)]
+    # a <line> is starts[x1] + mids[y1] + x_text[x2] + ends[y2] + tail
+    starts = [f'<line x1="{x}" y1="' for x in x_text]
+    mids = [f'{y}" x2="' for y in y_text]
+    ends = [f'" y2="{y}' for y in y_text]
     body: list[str] = []
     xs: list[float] = []
     ys: list[float] = []
@@ -315,16 +444,28 @@ def render_svg(patch: PatternPatch) -> str:
     for (dn, dq), by_q in zip(((2, 0), (1, -1), (1, 1)), rows):
         qs, columns = _columns(by_q)
         for p, i, codes in columns:
-            kept = [(q, c) for q, c in zip(qs[i:], codes) if c < NO_COLOR]
-            if not kept:
-                continue
             base = 2 * p - 1 - n0
-            body += [f'<line x1="{x_text[base + q]}" y1="{y_text[q - q0]}" '
-                     f'x2="{x_text[base + q + dn]}" y2="{y_text[q + dq - q0]}{tails[c]}'
-                     for q, c in kept]
+            run = codes.strip(_UNCOLORED)
+            if not run:
+                continue
+            start = i + len(codes) - len(codes.lstrip(_UNCOLORED))
+            low, high = qs[start], qs[start + len(run) - 1]
+            if max(run) < NO_COLOR and high - low == len(run) - 1:
+                # one colored run over consecutive rows: slice the pieces
+                x1, y1 = base + low, low - q0
+                body.append("\n".join(map("".join, zip(
+                    starts[x1:x1 + len(run)], mids[y1:y1 + len(run)],
+                    x_text[x1 + dn:x1 + dn + len(run)], ends[y1 + dq:y1 + dq + len(run)],
+                    map(tails.__getitem__, run)))))
+            else:
+                kept = [(q, c) for q, c in zip(qs[i:], codes) if c < NO_COLOR]
+                if not kept:
+                    continue
+                body += [f"{starts[base + q]}{mids[q - q0]}{x_text[base + q + dn]}"
+                         f"{ends[q + dq - q0]}{tails[c]}" for q, c in kept]
+                (low, _), (high, _) = kept[0], kept[-1]
             # x grows with 2p + q and y falls with q: the column's ends
             # hold its extremes
-            (low, _), (high, _) = kept[0], kept[-1]
             xs += [x_at[base + low], x_at[base + high + dn]]
             ys += [y_at[q - q0] for q in (low, low + dq, high, high + dq)]
     return _svg_document(body, xs, ys)

@@ -256,6 +256,23 @@ def test_malformed_seq_header_exits_two(tmp_path, capsys):
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
 
 
+def test_files_that_are_not_utf8_exit_two(tmp_path, capsys):
+    pat, lines = _tiling_inputs(tmp_path, capsys)
+    head, _, *rest = pat.read_bytes().split(b"\n")
+    bad_pat = tmp_path / "bad.pat"
+    bad_pat.write_bytes(b"\n".join([head, b"seq \xff", *rest]))
+    code, _, err = run(capsys, "render", "--in", str(bad_pat), "--svg", str(tmp_path / "b.svg"))
+    assert code == 2 and err == "error: line 2: not UTF-8 text (byte 0xff)\n"
+    assert not (tmp_path / "b.svg").exists()
+
+    til = tmp_path / "bad.til"
+    til.write_bytes(b"\n".join([lines[0].encode(), b"seq \xff", *map(str.encode, lines[2:])])
+                    + b"\n")
+    code, out, err = run(capsys, "reconstruct", "--in", str(til), "--ref", str(pat))
+    assert code == 2 and "reconstructed" not in out
+    assert err == "error: line 2: not UTF-8 text (byte 0xff)\n"
+
+
 def test_reconstruct_failure_names_a_tiling_record(tmp_path, capsys):
     # one count near the center swapped 1 <-> 2: reconstruct exits 1 and
     # names the tile it caught the way the file's records name tiles

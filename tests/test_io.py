@@ -4,7 +4,7 @@ import pytest
 
 from oracles import interior_colors, scan_ball
 from trifold.errors import ParseError
-from trifold.folding import FoldingSequence, ball_patch, patch
+from trifold.folding import FoldingSequence, PatternPatch, ball_patch, patch
 from trifold.lattice import NEGATIVE, POSITIVE, Seg
 from trifold.patternio import (
     read_pattern,
@@ -226,6 +226,36 @@ def test_tiling_region_check_does_not_list_the_region_tiles():
     assert peak < 4_000_000
 
 
+@pytest.mark.parametrize("header", [
+    "region triangle 40", "region triangle 1000000000000", "region tri 1 -3000000002 1",
+])
+def test_pattern_triangle_header_the_file_cannot_fill_is_refused(header):
+    # a side-s triangle needs 3s flagged records; refusing a larger one
+    # before it is laid out keeps the read to the file's own size
+    text = f"trifold-pattern v1\nseq x\n{header}\n1 0 0 red\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            read_pattern(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"line 3: {header!r} needs more flagged records than the 1 lines after it"
+    assert peak < 1_000_000
+    # a header the records do fill still reads
+    assert read_pattern(write_pattern(patch(FoldingSequence("++"), 1), "x"))[0].region.side == 2
+
+
+def test_pattern_seq_with_a_line_break_reads_as_records_read_it():
+    # splitlines breaks a seq text at \r or \x1c, so the written file
+    # does not read back; the column reader must not accept it either
+    p = patch(FoldingSequence.parse("(+)*"), 1)
+    for seq in ("a\rb", "a\x1cb", "a\u2028"):
+        with pytest.raises(ParseError) as info:
+            read_pattern(write_pattern(p, seq))
+        assert info.value.line == 3
+
+
 def test_tiling_roundtrip():
     p = ball_patch(FoldingSequence.parse("(+)*"), 6)
     window = to_tiling(p)
@@ -253,6 +283,19 @@ def test_svg_deterministic_and_wellformed():
     assert svg1.startswith("<svg ") and svg1.rstrip().endswith("</svg>")
     assert svg1.count("<line ") == len(interior_colors(p))
     assert "#E41A1C" in svg1 and "#377EB8" in svg1
+
+
+def test_svg_of_a_patch_with_holes_keeps_the_full_patch_lines():
+    # columns with uncolored segments inside their colored run draw the
+    # full patch's lines for the segments left, in the same order
+    full = patch(FoldingSequence.parse("(+-)*"), 4)
+    kept = {s: c for n, (s, c) in enumerate(interior_colors(full).items()) if n % 5}
+    lines = [ln for ln in render_svg(full).splitlines() if ln.startswith("<line ")]
+    holed = [ln for ln in render_svg(PatternPatch(full.region, kept)).splitlines()
+             if ln.startswith("<line ")]
+    assert len(holed) == len(kept)
+    at = iter(lines)
+    assert all(ln in at for ln in holed)
 
 
 def test_svg_empty_patch():

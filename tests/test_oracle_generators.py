@@ -11,20 +11,23 @@ from hypothesis import strategies as st
 
 import trifold.substitution as substitution
 import trifold.unfold as unfold
-from oracles import dict_apply_rule_patch, dict_unfold_once
+from oracles import dict_apply_rule_patch, dict_unfold_once, interior_colors
 from trifold import cli
+from trifold.analysis import tile_class_counts
 from trifold.errors import SeamConflict
-from trifold.folding import UP, FoldingSequence, PatternPatch, patch
+from trifold.folding import UP, FoldingSequence, PatternPatch, interior_mismatches, patch
 from trifold.lattice import POSITIVE, standard_region, unit_tile_segments
 from trifold.substitution import (
     RULES,
     apply_rule_patch,
     class_representative,
+    classify,
     compose,
     folding_seed,
     medial_color,
     seed_patch,
 )
+from trifold.spectral import word_matrix
 from trifold.unfold import unfold_once, unfold_pattern
 
 exact = settings(deadline=None, max_examples=25)
@@ -137,3 +140,18 @@ def test_an_unswapped_corner_side_raises_seam_conflict(monkeypatch):
                         if (rule, orientation) == ("+", o) else real(rule, orientation))
     with pytest.raises(SeamConflict):
         apply_rule_patch("+", window)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.text(alphabet="+-", min_size=7, max_size=8))
+def test_three_generators_and_the_count_matrix_agree_on_longer_words(word):
+    # a word's window is the substitution image of its seed tile, so its
+    # tile-class counts are the seed's column of the word's count matrix
+    k = len(word)
+    closed = patch(FoldingSequence(word), k)
+    unfolded = unfold_pattern(unfold.uniform_word(word))
+    substituted = compose(word, 1, folding_seed(k))
+    for other in (unfolded, substituted):
+        assert interior_mismatches(closed, other) == []
+        assert interior_colors(other).keys() == interior_colors(closed).keys()
+    assert tile_class_counts(substituted) == word_matrix(word).column(classify(folding_seed(k)))

@@ -36,6 +36,7 @@ from trifold.folding import (
     recolor,
 )
 from trifold.lattice import BallRegion, Seg, TriRegion, standard_region
+from trifold import patternio
 from trifold.patternio import read_pattern, read_tiling, write_pattern, write_tiling
 from trifold.substitution import class_index
 from trifold.tiling import decorate, to_tiling
@@ -203,6 +204,57 @@ def test_tile_counts_equal_a_per_tile_count(window):
     for (o, reds, _), n in types.items():
         classes[class_index(o, reds)] += n
     assert tile_class_counts(p) == tuple(classes)
+
+
+_SPELLINGS = ("canonical", "shuffled", "blank lines", "doubled spaces", "crlf",
+              "no final newline", "bare seq")
+
+
+@exact
+@given(windows, st.sampled_from(_SPELLINGS), st.randoms(use_true_random=False))
+def test_column_and_record_reads_agree(window, spelling, rng):
+    # the canonical text and valid respellings of it read to the same
+    # patch and seq whichever path takes them
+    p = _painted(*window)
+    seq = "" if spelling == "bare seq" else "s"
+    magic, seq_line, region, *records = write_pattern(p, seq).splitlines()
+    if spelling == "shuffled":
+        rng.shuffle(records)
+    elif spelling == "blank lines":
+        for blank in ("", "  ", ""):
+            records.insert(rng.randrange(len(records) + 1), blank)
+    elif spelling == "doubled spaces":
+        region, records = region.replace(" ", "  "), [r.replace(" ", "  ") for r in records]
+    elif spelling == "bare seq":
+        seq_line = "seq"
+    lines = [magic, seq_line, region, *records]
+    text = "\n".join(lines) + "\n"
+    if spelling == "crlf":
+        text = "\r\n".join(lines) + "\r\n"
+    elif spelling == "no final newline":
+        text = "\n".join(lines)
+    back, got = read_pattern(text)
+    slow, slow_seq = patternio._read_records(text)
+    assert got == slow_seq == seq
+    assert back.region == slow.region == p.region
+    assert back.colors.rows == slow.colors.rows == p.colors.rows
+
+
+def _no_record_reads(text):
+    raise AssertionError("a canonical file was read record by record")
+
+
+@exact
+@given(windows, st.sampled_from(("s", "", "(+-)*", "+-,++-")))
+def test_canonical_files_never_reach_the_record_reader(window, seq):
+    # a silent fall back to the record reader would keep every result
+    # and lose the column reader's speed
+    p = _painted(*window)
+    text = write_pattern(p, seq)
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setattr(patternio, "_read_records", _no_record_reads)
+        back, got = read_pattern(text)
+    assert got == seq and back.region == p.region and back.colors.rows == p.colors.rows
 
 
 _TOKENS = st.sampled_from(["red", "blue", "unknown", "*", "x", "0", "-1", "4", "99", "", "1 2"])
