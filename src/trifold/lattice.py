@@ -16,10 +16,10 @@ a layer-k line is the side of exactly one layer-k triangle.
 A grid triangle of any size, a window or a layer triangle, is a
 ``TriRegion`` of its three side values.  A unit tile is named by its
 anchor (orientation, p, q) alone, and its geometry is constant offset
-tables: its vertices and sides (``TILE_VERTICES``, ``TILE_SEGMENTS``),
-a vertex's six spokes (``SPOKES``) and the six tiles around it with
-their outer sides (``AROUND``).  ``line_position`` and ``segment_at``
-map a segment to its grid line and position there, and back.
+tables: its vertices and sides (``TILE_VERTICES``, ``TILE_SEGMENTS``)
+and a vertex's six spokes (``SPOKES``).  ``line_position`` and
+``segment_at`` map a segment to its grid line and position there, and
+back.
 
 ``layer_kernel`` is the one implementation of the layer rule: given a
 line and the doubled midpoints of segments along it, it returns the
@@ -28,8 +28,9 @@ painter calls it once per line, on one period of midpoints;
 ``layer_data`` is its one-segment form.
 
 Every window is its vertex rows: ``vertex_rows`` gives {q: (first,
-stop)}, the vertices inside being p = first..stop-1 on row q.  On a
-triangle they are linear in the side values.  On a radius-r ball,
+stop)}, the vertices inside being p = first..stop-1 on row q, and
+``vertex_span`` one row alone.  On a triangle they are linear in the
+side values.  On a radius-r ball,
 12|x|^2 = 3(2p + q - 1)^2 + (3q - 1)^2 puts (p, q) inside iff
 |6p + 3q - 3| <= isqrt(36r^2 - 3(3q - 1)^2): one isqrt per row.
 ``segment_rows`` turns the vertex rows into, per direction d, the
@@ -126,12 +127,6 @@ TILE_SEGMENTS = {POSITIVE: ((1, 0, 0), (2, 0, 1), (3, 0, 0)),
                  NEGATIVE: ((1, 0, 0), (2, 0, 0), (3, 1, -1))}
 #: The six segments at a vertex, counterclockwise from east, as (d, dp, dq).
 SPOKES = ((1, 0, 0), (3, 0, 0), (2, -1, 1), (1, -1, 0), (3, 0, -1), (2, 0, 0))
-#: The six unit tiles around a vertex, counterclockwise: tile i, at the
-#: offset (orientation, dp, dq), lies between spokes i and i + 1, and its
-#: third side is the outer (d, dp, dq).
-AROUND = ((POSITIVE, 0, 0, (2, 0, 1)), (NEGATIVE, -1, 1, (1, -1, 1)),
-          (POSITIVE, -1, 0, (3, -1, 0)), (NEGATIVE, -1, 0, (2, -1, 0)),
-          (POSITIVE, 0, -1, (1, 0, -1)), (NEGATIVE, 0, 0, (3, 1, -1)))
 
 
 def unit_tile_segments(o: int, p: int, q: int) -> tuple[Seg, ...]:
@@ -316,13 +311,20 @@ class TriRegion(NamedTuple):
     def _sides(self) -> tuple[int, int, int]:
         return (1 - self.w1) // 3, (self.w2 + 2) // 3, (1 - self.w3) // 3
 
-    def vertex_rows(self) -> dict[int, tuple[int, int]]:
-        """{q: (first, stop)}: the vertices on row q are p = first..stop-1,
-        from column p3 to the line p + q = c2, for q between q1 and c2 - p3."""
+    def vertex_span(self, q: int) -> tuple[int, int] | None:
+        """(first, stop): the vertices on row q are p = first..stop-1, from
+        column p3 to the line p + q = c2, for q between q1 and c2 - p3;
+        None off those rows."""
         q1, c2, p3 = self._sides()
         if self.orientation == POSITIVE:
-            return {q: (p3, c2 - q + 1) for q in range(q1, c2 - p3 + 1)}
-        return {q: (c2 - q, p3 + 1) for q in range(c2 - p3, q1 + 1)}
+            return (p3, c2 - q + 1) if q1 <= q <= c2 - p3 else None
+        return (c2 - q, p3 + 1) if c2 - p3 <= q <= q1 else None
+
+    def vertex_rows(self) -> dict[int, tuple[int, int]]:
+        """{q: vertex_span(q)} over the triangle's rows."""
+        q1, c2, p3 = self._sides()
+        low, high = sorted((q1, c2 - p3))
+        return {q: self.vertex_span(q) for q in range(low, high + 1)}
 
     def side_rows(self) -> Spans:
         """The boundary in ``segment_rows`` form: all of row q1 in
@@ -384,17 +386,26 @@ class BallRegion(NamedTuple):
     def orientation(self) -> int:
         return 0
 
+    def vertex_span(self, q: int) -> tuple[int, int] | None:
+        """(first, stop): the vertices on row q are p = first..stop-1,
+        those with |6p + 3q - 3| <= isqrt(36r^2 - 3(3q - 1)^2); None when
+        the row has none."""
+        m2 = 36 * self.radius * self.radius - 3 * (3 * q - 1) ** 2
+        if m2 < 0:
+            return None
+        m = isqrt(m2)
+        first, stop = (8 - 3 * q - m) // 6, (9 - 3 * q + m) // 6
+        return (first, stop) if first < stop else None
+
     def vertex_rows(self) -> dict[int, tuple[int, int]]:
-        """{q: (first, stop)}: the vertices on row q are p = first..stop-1,
-        those with |6p + 3q - 3| <= isqrt(36r^2 - 3(3q - 1)^2)."""
-        bound = 36 * self.radius * self.radius
-        top = isqrt(bound // 3)  # rows with |3q - 1| <= top
+        """{q: vertex_span(q)} over the rows with vertices, those with
+        |3q - 1| <= isqrt(12r^2)."""
+        top = isqrt(12 * self.radius * self.radius)
         rows = {}
         for q in range(-((top - 1) // 3), (top + 1) // 3 + 1):
-            m = isqrt(bound - 3 * (3 * q - 1) ** 2)
-            first, stop = (8 - 3 * q - m) // 6, (9 - 3 * q + m) // 6
-            if first < stop:
-                rows[q] = first, stop
+            span = self.vertex_span(q)
+            if span is not None:
+                rows[q] = span
         return rows
 
     def side_rows(self) -> Spans:

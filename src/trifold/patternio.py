@@ -15,8 +15,9 @@ header gives, and a triangle header with more boundary segments than
 the file has lines.  Both paths end in ``freeze``.
 
 Tiling files carry ``orient p q red_count [slot]`` records, each a
-tile of the region when a header names one (checked against its rows
-of tiles) and none repeated.  Tilings are keyed by the same anchors
+tile of the region when a header names one (checked against the
+region's vertex rows next to the record's own row, never all of them)
+and none repeated.  Tilings are keyed by the same anchors
 (orientation, p, q) the records carry, so the writer and the tile
 renderer sort the keys and take a tile's corners and sides from the
 ``lattice`` tables, and the reader keys each record by its own anchor.
@@ -44,6 +45,7 @@ from .lattice import (
     Seg,
     TriRegion,
     Vertex,
+    segment_rows,
     standard_region,
     tile_rows,
     unit_tile_segments,
@@ -357,16 +359,24 @@ def _by_anchor(window: dict[Anchor, DecoratedTile]) -> list[tuple[Anchor, Decora
     return sorted(window.items(), key=lambda item: (-item[0][0], item[0][1], item[0][2]))
 
 
+def _tile_spans(region: Region, q: int) -> dict[int, tuple[int, int]]:
+    """{orientation: (first, stop)} of the region's tiles anchored on row
+    q, laid out from its vertex rows q - 1 to q + 1 alone."""
+    verts = {r: span for r in (q - 1, q, q + 1) if (span := region.vertex_span(r)) is not None}
+    return {o: (first, stop) for o, row, first, stop in tile_rows(segment_rows(verts))
+            if row == q}
+
+
 def read_tiling(text: str) -> tuple[dict[Anchor, DecoratedTile], str]:
     lines = text.splitlines()
     if not lines or lines[0] != TILING_MAGIC:
         raise ParseError(f"expected {TILING_MAGIC!r} header", 1)
     seq = _read_seq(lines, 2)
-    start, spans = 2, None
+    start, region = 2, None
     if len(lines) > 2 and lines[2].startswith("region"):
         region = _parse_region(lines[2].split(), 3)
-        start, spans = 3, {(o, q): (first, stop)
-                           for o, q, first, stop in tile_rows(region.segment_rows())}
+        start = 3
+    spans: dict[int, dict[int, tuple[int, int]]] = {}
     window: dict[Anchor, DecoratedTile] = {}
     for no, raw in enumerate(lines[start:], start=start + 1):
         if not raw.strip():
@@ -386,8 +396,10 @@ def read_tiling(text: str) -> tuple[dict[Anchor, DecoratedTile], str]:
         if (count in (0, 3)) != (slot is None):
             raise ParseError("decoration present iff red count is 1 or 2", no)
         anchor = (POSITIVE if parts[0] == "P" else NEGATIVE, p, q)
-        if spans is not None:
-            first, stop = spans.get((anchor[0], q), (0, 0))
+        if region is not None:
+            if q not in spans:
+                spans[q] = _tile_spans(region, q)
+            first, stop = spans[q].get(anchor[0], (0, 0))
             if not first <= p < stop:
                 raise ParseError(f"tile {raw!r} is outside the region", no)
         if anchor in window:

@@ -12,10 +12,11 @@ and unit tiles are found by testing every segment or tile in the
 window's bounding box: a triangle's with the midpoint predicates
 ``TriRegion.contains_interior`` and ``is_boundary``, a ball's with the
 exact Cartesian norm ``norm_sq_times_12``.  ``reflect_line`` is the
-line form of the library's vertex and segment reflections, and
+line form of the library's vertex and segment reflections,
 ``incident_segments`` lists a vertex's six spokes from the ``SPOKES``
-table.  Matrix products and ranks are taken over plain `Fraction`s,
-with no integer shortcuts.  Pattern windows are painted into plain
+table and ``AROUND`` the six tiles around a vertex, with their outer
+sides, as offsets.  Matrix products and ranks are taken over plain
+`Fraction`s, with no integer shortcuts.  Pattern windows are painted into plain
 dicts one segment at a time with `color_of_segment`, and recolored,
 filtered and translated one segment at a time.  The unfolder and the
 substituter keep their segment-at-a-time forms: ``dict_unfold_once``
@@ -433,6 +434,14 @@ def unit_sides(tri: TriRegion) -> tuple[Seg, Seg, Seg]:
     """The sides of a unit triangle, by direction, joining its corners."""
     a, b, c = unit_vertices(tri)
     return tuple(sorted((seg_between(a, b), seg_between(b, c), seg_between(a, c))))
+
+
+#: The six unit tiles around a vertex, counterclockwise: tile i, at the
+#: offset (orientation, dp, dq), lies between spokes i and i + 1, and its
+#: third side is the outer (d, dp, dq).
+AROUND = ((POSITIVE, 0, 0, (2, 0, 1)), (NEGATIVE, -1, 1, (1, -1, 1)),
+          (POSITIVE, -1, 0, (3, -1, 0)), (NEGATIVE, -1, 0, (2, -1, 0)),
+          (POSITIVE, 0, -1, (1, 0, -1)), (NEGATIVE, 0, 0, (3, 1, -1)))
 
 
 def tiles_around(vertex: Vertex):

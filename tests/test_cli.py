@@ -99,6 +99,23 @@ def test_reconstruct_margin_past_the_center_checks_nothing(tmp_path, capsys):
         assert "reference match: 0/0" in out
 
 
+def test_reconstruct_matches_the_reference_up_to_the_rim(tmp_path, capsys):
+    # with no margin every segment of the radius-12 ball is compared
+    pat = tmp_path / "p.pat"
+    til = tmp_path / "p.til"
+    code, _, _ = run(capsys, "generate", "--seq", "(+)*", "--ball", "12", "--out", str(pat))
+    assert code == 0
+    from trifold.patternio import write_tiling
+    from trifold.tiling import to_tiling
+    patch, seq = read_pattern(pat.read_text())
+    til.write_text(write_tiling(to_tiling(patch), seq, patch.region))
+    n = len(patch.colors)
+    code, out, _ = run(capsys, "reconstruct", "--in", str(til), "--ref", str(pat),
+                       "--margin", "0")
+    assert out == f"reconstructed {n} segments\nreference match: {n}/{n}\n"
+    assert code == 0
+
+
 def test_stars_and_period(capsys):
     code, out, _ = run(capsys, "stars", "--seq", "(+)*", "--size", "4",
                        "--assert-allowed")

@@ -214,16 +214,18 @@ def test_tiling_region_check_follows_tile_rows():
 
 
 def test_tiling_region_check_does_not_list_the_region_tiles():
-    # a ball of radius 400 holds ~1.1 million tiles; checking a record
-    # against the header's tile rows needs memory for its ~1,600 rows only
-    tracemalloc.start()
-    try:
-        window, _ = read_tiling("trifold-tiling v1\nseq x\nregion ball 400\nP 0 0 3\n")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert window == {(POSITIVE, 0, 0): (3, None)}
-    assert peak < 4_000_000
+    # a ball of radius 400 holds ~1.1 million tiles, and the side-2^40
+    # triangle and the radius-10^8 ball have ~10^12 and ~10^8 tile rows;
+    # checking a record needs memory for the rows around its own q only
+    for header in ("region ball 400", "region triangle 40", "region ball 100000000"):
+        tracemalloc.start()
+        try:
+            window, _ = read_tiling(f"trifold-tiling v1\nseq x\n{header}\nP 0 0 3\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert window == {(POSITIVE, 0, 0): (3, None)}, header
+        assert peak < 4_000_000, header
 
 
 @pytest.mark.parametrize("header", [

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import (
+    AROUND,
     brute_layer_triangles,
     incident_segments,
     is_boundary,
@@ -19,7 +20,6 @@ from oracles import (
 )
 from trifold.errors import MalformedLayer
 from trifold.lattice import (
-    AROUND,
     NEGATIVE,
     POSITIVE,
     TILE_VERTICES,

@@ -1,7 +1,7 @@
 """Library checks must survive ``python -O``, which strips assert statements;
 the spectral core stays exact and keeps no per-word state between calls;
 the oracle generators and the tiling reconstruction stay apart from the
-closed form."""
+closed form; no library module imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -56,7 +56,26 @@ def test_oracle_generators_never_meet_the_closed_form():
 
 def test_reconstruction_is_local():
     # reconstruct rebuilds colors from red counts alone: no layer
-    # arithmetic and no closed-form pattern may reach tiling.py
+    # arithmetic and no closed-form pattern may reach tiling.py, and
+    # no line or hexagon geometry either, so a tile reads only its own sides
     closed_form = {"layer_of", "layer_data", "layer_kernel", "v2", "color_of_segment",
                    "patch", "ball_patch", "_paint"}
-    assert _names_used("tiling.py") & closed_form == set()
+    beyond_a_tile = {"line_position", "segment_at", "line_of", "AROUND", "SPOKES"}
+    assert _names_used("tiling.py") & (closed_form | beyond_a_tile) == set()
+
+
+def test_library_modules_have_no_unused_imports():
+    unused = []
+    for path in sorted(Path(trifold.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
