@@ -17,7 +17,6 @@ from .errors import (
     ParseError,
     SeamConflict,
     TrifoldError,
-    Undecidable,
     WindowTooSmall,
 )
 from .folding import Color, FoldingSequence, PatternPatch, ball_patch, color_of_segment, patch, recolor

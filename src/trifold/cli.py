@@ -16,8 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, folding, patternio, spectral, substitution, tiling, unfold
-from .errors import Inconsistent, ParseError, TrifoldError, Undecidable
-from .folding import FoldingSequence, PatternPatch
+from .errors import Inconsistent, ParseError, TrifoldError
+from .folding import CODE_COLORS, NO_COLOR, FoldingSequence, PatternPatch
 from .lattice import layer_of
 
 
@@ -162,7 +162,8 @@ def cmd_verify(args) -> int:
         print("error: nothing to verify (give --seq or --random)", file=sys.stderr)
         return 2
     methods = args.methods.split(",")
-    if len(methods) < 2 or any(m not in ("closed", "unfold", "subst") for m in methods):
+    if (len(methods) < 2 or len(set(methods)) < len(methods)
+            or any(m not in ("closed", "unfold", "subst") for m in methods)):
         print(f"error: bad --methods {args.methods!r}", file=sys.stderr)
         return 2
     bad = 0
@@ -184,22 +185,22 @@ def cmd_reconstruct(args) -> int:
     stripped = tiling.strip_decoration(window)
     try:
         colors = tiling.reconstruct(stripped)
-    except (Inconsistent, Undecidable) as exc:
+    except Inconsistent as exc:
         print(f"reconstruction failed: {exc}")
         return 1
     print(f"reconstructed {len(colors)} segments")
     if args.ref:
         ref, _ = patternio.read_pattern(_read_file(args.ref))
-        eroded = ref.region.erode(args.margin)
-        bad = 0
-        checked = 0
-        for seg in eroded.iter_interior_segments():
-            want = ref.colors.get(seg)
-            if want is None:
-                continue
-            checked += 1
-            if colors.get(seg) is not want:
-                bad += 1
+        bad = checked = 0
+        # the eroded region's interior spans lie inside the reference's rows
+        spans = ref.region.erode(args.margin).interior_rows()
+        for d, (by_q, rows) in enumerate(zip(spans, ref.colors.rows), start=1):
+            for q, (first, stop) in by_q.items():
+                f, row = rows[q]
+                for p, code in enumerate(row[first - f:stop - f], start=first):
+                    if code != NO_COLOR:
+                        checked += 1
+                        bad += colors.get((d, p, q)) is not CODE_COLORS[code]
         print(f"reference match: {checked - bad}/{checked}")
         return 1 if bad else 0
     return 0

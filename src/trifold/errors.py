@@ -33,10 +33,6 @@ class Inconsistent(TrifoldError):
     """Tiling data admits no segment coloring (corrupted input)."""
 
 
-class Undecidable(TrifoldError):
-    """The window is too small to reconstruct all requested segments."""
-
-
 class WindowTooSmall(TrifoldError):
     """The window cannot support the requested measurement."""
 

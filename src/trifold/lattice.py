@@ -337,13 +337,17 @@ class TriRegion(NamedTuple):
                 {q: (c2 - q, c2 - q + 1) for q in range(low + 1, high + 1)},
                 {q: (p3, p3 + 1) for q in range(low, high)})
 
-    def iter_interior_segments(self) -> Iterator[Seg]:
+    def interior_rows(self) -> Spans:
         """The segment rows less their side spans, one end of each row."""
-        for d, (by_q, sides) in enumerate(zip(self.segment_rows(), self.side_rows()), start=1):
+        out: Spans = ({}, {}, {})
+        for new, by_q, sides in zip(out, self.segment_rows(), self.side_rows()):
             for q, (first, stop) in by_q.items():
                 lo, hi = sides.get(q, (stop, stop))
-                for p in range(hi, stop) if lo == first else range(first, lo):
-                    yield Seg(d, p, q)
+                new[q] = (hi, stop) if lo == first else (first, lo)
+        return out
+
+    def iter_interior_segments(self) -> Iterator[Seg]:
+        return row_segments(self.interior_rows())
 
     def iter_boundary_segments(self) -> Iterator[Seg]:
         return row_segments(self.side_rows())
@@ -413,7 +417,7 @@ class BallRegion(NamedTuple):
         return {}, {}, {}
 
     def iter_interior_segments(self) -> Iterator[Seg]:
-        return row_segments(self.segment_rows())
+        return row_segments(self.interior_rows())
 
     def iter_boundary_segments(self) -> Iterator[Seg]:
         return iter(())
@@ -424,6 +428,8 @@ class BallRegion(NamedTuple):
 
     def segment_rows(self) -> Spans:
         return segment_rows(self.vertex_rows())
+
+    interior_rows = segment_rows  # a ball has no sides
 
     def contains_ball_of_radius(self, r: int) -> bool:
         return self.radius >= r

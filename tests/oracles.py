@@ -27,6 +27,8 @@ each tile's four children as side values and writes their
 codes into (anchor, side colors) pairs.  ``dict_reconstruct`` is the
 reconstruction on side values: it builds the six triangles around each
 vertex and filters their ``unit_sides`` against the spokes.
+``worklist_reconstruct`` runs the library's one propagation rule a tile
+at a time from a worklist, where the library sweeps whole tile rows.
 
 The last section holds measurements only the tests take: a window's
 interior as a dict, its disallowed stars, the layer-block check, the
@@ -37,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from trifold.analysis import star_allowed, vertex_star_histogram
-from trifold.errors import Inconsistent, OutOfRegion, SeamConflict, Undecidable, WindowTooSmall
+from trifold.errors import Inconsistent, OutOfRegion, SeamConflict, WindowTooSmall
 from trifold.folding import (
     TILE_SIDES,
     UP,
@@ -51,6 +53,7 @@ from trifold.lattice import (
     NEGATIVE,
     POSITIVE,
     SPOKES,
+    TILE_SEGMENTS,
     Line,
     Seg,
     TriRegion,
@@ -66,6 +69,7 @@ from trifold.lattice import (
     v2,
 )
 from trifold.substitution import TriangleColoring, medial_color
+from trifold.tiling import tile_name
 
 
 def v2_slow(n: int) -> int:
@@ -464,7 +468,7 @@ def tiles_around(vertex: Vertex):
     return tiles, spokes, outer
 
 
-def dict_reconstruct(counts: dict[tuple[int, int, int], int], targets=None) -> dict[Seg, Color]:
+def dict_reconstruct(counts: dict[tuple[int, int, int], int]) -> dict[Seg, Color]:
     """Local reconstruction of anchor-keyed red counts, run on the tiles'
     side values, a tile's sides and vertices recomputed wherever they
     are needed."""
@@ -554,16 +558,44 @@ def dict_reconstruct(counts: dict[tuple[int, int, int], int], targets=None) -> d
         known = [colors.get(s) for s in unit_sides(tri)]
         if None not in known and sum(c is RED for c in known) != count:
             raise Inconsistent(f"tile {tri}: red count mismatch")
+    return colors
 
-    if targets is None:
-        return colors
-    result = {}
-    for seg in targets:
-        col = colors.get(seg)
-        if col is None:
-            raise Undecidable(f"{seg} cannot be settled in this window")
-        result[seg] = col
-    return result
+
+#: Per direction d - 1, the two tiles bordering a segment Seg(d, p, q), as
+#: (orientation, dp, dq) offsets from (p, q): ``TILE_SEGMENTS`` read backwards.
+BORDERS = tuple(tuple((o, -sides[i][1], -sides[i][2]) for o, sides in TILE_SEGMENTS.items())
+                for i in range(3))
+
+
+def worklist_reconstruct(counts: dict[tuple[int, int, int], int]) -> dict[Seg, Color]:
+    """The library's propagation rule run one tile at a time: a worklist
+    starts with the monochrome tiles, and each painted segment puts its
+    other tile (``BORDERS``) back on it."""
+    RED, BLUE = Color.RED, Color.BLUE
+    for a, count in counts.items():
+        if not 0 <= count <= 3:
+            raise Inconsistent(f"tile {tile_name(*a)}: red count {count} out of range")
+    colors: dict[Seg, Color] = {}
+    work = [a for a, count in counts.items() if count in (0, 3)]
+    while work:
+        a = work.pop()
+        count = counts[a]
+        segs = unit_tile_segments(*a)
+        known = [colors.get(s) for s in segs]
+        reds, unknown = known.count(RED), known.count(None)
+        if not reds <= count <= reds + unknown:
+            raise Inconsistent(f"tile {tile_name(*a)}: red count {count} impossible")
+        if unknown and count in (reds, reds + unknown):
+            col = BLUE if count == reds else RED
+            for seg, c in zip(segs, known):
+                if c is None:
+                    colors[seg] = col
+                    d, p, q = seg
+                    for o, dp, dq in BORDERS[d - 1]:
+                        tile = (o, p + dp, q + dq)
+                        if tile != a and tile in counts:
+                            work.append(tile)
+    return colors
 
 
 # -- measurements only the tests take -------------------------------------

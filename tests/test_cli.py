@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,8 @@ def test_byte_identical_outputs_and_threads(tmp_path, capsys):
     ["period", "--seq", "(+)*", "--ball", "24", "--max-norm", "2", "--layer", "40",
      "--assert-none"],
     ["stars", "--seq", "(+)*", "--size", "2", "--threads", "2"],
+    ["verify", "--seq", "++", "--methods", "closed,closed"],
+    ["verify", "--seq", "++", "--methods", "unfold,closed,unfold"],
 ])
 def test_malformed_argv_exits_two(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -305,6 +308,25 @@ def test_reconstruct_failure_names_a_tiling_record(tmp_path, capsys):
     match = re.fullmatch(r"reconstruction failed: tile ([PN] -?\d+ -?\d+): .*\n", out)
     assert match, out
     assert any(ln.startswith(match[1] + " ") for ln in til.read_text().splitlines()[3:])
+
+
+@pytest.mark.parametrize("records, want", [
+    ("region ball 100000000\nP 0 0 3\n", "reconstructed 3 segments\n"),
+    ("P 0 0 3\nP 1000000000 0 0\n", "reconstructed 6 segments\n"),
+])
+def test_reconstruct_memory_follows_the_records(records, want, tmp_path, capsys):
+    # a huge region header, or two tiles 10^9 apart on one row, must not
+    # size the segment layout: it covers the sides of the records alone
+    til = tmp_path / "sparse.til"
+    til.write_text("trifold-tiling v1\nseq x\n" + records)
+    tracemalloc.start()
+    try:
+        result = run(capsys, "reconstruct", "--in", str(til))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (0, want, "")
+    assert peak < 4_000_000
 
 
 def test_window_outputs_are_pinned(tmp_path, monkeypatch, capsys):
