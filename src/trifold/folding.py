@@ -186,10 +186,6 @@ class WindowColors(Mapping):
             raise KeyError(seg)
         return CODE_COLORS[code]
 
-    def get(self, seg, default=None):
-        code = self._code(seg)
-        return default if code == NO_COLOR else CODE_COLORS[code]
-
     def __len__(self) -> int:
         return sum(len(row) - row.count(NO_COLOR) for r in self.rows for _, row in r.values())
 

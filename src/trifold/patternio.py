@@ -5,9 +5,9 @@ Pattern files carry one ``d p q color`` record per segment, sorted by
 The writer reads the window store column by column, which is that
 order, behind one ``"d p "`` prefix per column, and takes the flags
 from the region's closed-form sides.  The reader takes a canonical
-file, the text the writer makes, a column block at a time into a
-padded column grid, and keeps the result only when the writer gives
-the text back byte for byte.  Any other file is read record by record
+file, the text the writer makes, by that layout into the padded column
+grid of ``_grid``, and keeps the result only when the writer gives the
+text back byte for byte.  Any other file is read record by record
 into blank store rows (``folding.blank_rows``), and only that path
 raises: it rejects records off the region's row extents, records that
 repeat an earlier one, flags that differ from the boundary its region
@@ -25,13 +25,13 @@ Both formats start with a magic line and a ``seq`` or ``seq <text>``
 line.  Serialization is canonical, so read/write round trips are byte
 identical.  Floats appear only in the SVG emitter, at a fixed four
 decimal places; segment coordinates come from integer positions, one
-text per x value and per row, and a column's ``<line>`` texts are
-joined from those pieces.
+text per x value and per row, and the ``<line>`` texts of each
+colored run of a column are joined from those pieces.
 """
 
 from __future__ import annotations
 
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Iterator
 
 from .errors import ParseError
@@ -121,7 +121,7 @@ def _unfillable(parts: list[str], records: int, line_no: int) -> ParseError:
 
 #: Extra byte codes the text formats use beside the store's: a boundary
 #: segment's code plus BOUNDARY, the reader's not-yet-read byte, and the
-#: padding of ``_columns``.
+#: padding of ``_grid``.
 BOUNDARY = 3
 UNREAD = 3
 ABSENT = 6
@@ -135,30 +135,35 @@ _COLORED_PASS = bytes(c if c in (BLUE_CODE, RED_CODE, BLUE_CODE + BOUNDARY, RED_
 _UNKNOWN_PASS = bytes(c if c == NO_COLOR + BOUNDARY else ABSENT for c in range(256))
 _CODES = {Color.BLUE.value: BLUE_CODE, Color.RED.value: RED_CODE}
 _UNCOLORED = bytes([NO_COLOR])
+_PAD = bytes([ABSENT])
+
+
+def _grid(by_q: dict[int, tuple[int, bytes]]) -> tuple[list[int], int, int, bytes]:
+    """(qs, lo, width, grid) for one direction's rows: qs in increasing
+    order, and the rows in that order padded with ABSENT to the common
+    span lo..lo + width and joined, so column p is grid[p - lo::width]."""
+    qs = sorted(by_q)
+    lo = min((first for first, _ in by_q.values()), default=0)
+    hi = max((first + len(row) for first, row in by_q.values()), default=lo)
+    return qs, lo, hi - lo, b"".join(
+        _PAD * (by_q[q][0] - lo) + by_q[q][1] + _PAD * (hi - by_q[q][0] - len(by_q[q][1]))
+        for q in qs)
 
 
 def _columns(by_q: dict[int, tuple[int, bytes]]
              ) -> tuple[list[int], Iterator[tuple[int, int, bytes]]]:
     """(qs, columns) for one direction's rows: qs in increasing order, and
     (p, i, codes) per column p in increasing p, codes[j] being the byte
-    of the segment at (p, qs[i + j]), or ABSENT.  The rows are padded to
-    a common span, the columns read off with extended slices and the
-    padding at their ends stripped."""
-    qs = sorted(by_q)
-    if not qs:
-        return qs, iter(())
-    lo = min(first for first, _ in by_q.values())
-    hi = max(first + len(row) for first, row in by_q.values())
-    width = hi - lo
-    pad = bytes([ABSENT])
-    grid = b"".join(pad * (by_q[q][0] - lo) + by_q[q][1] + pad * (hi - by_q[q][0] - len(by_q[q][1]))
-                    for q in qs)
+    of the segment at (p, qs[i + j]), or ABSENT.  The columns are read
+    off the ``_grid`` with extended slices and the padding at their ends
+    stripped."""
+    qs, lo, width, grid = _grid(by_q)
 
     def columns():
         for j in range(width):
             column = grid[j::width]
-            codes = column.lstrip(pad)
-            yield lo + j, len(column) - len(codes), codes.rstrip(pad)
+            codes = column.lstrip(_PAD)
+            yield lo + j, len(column) - len(codes), codes.rstrip(_PAD)
 
     return qs, columns()
 
@@ -195,38 +200,43 @@ def write_pattern(patch: PatternPatch, seq: str = "") -> str:
 def read_pattern(text: str) -> tuple[PatternPatch, str]:
     """The patch and seq of a pattern file.
 
-    A canonical file, the text ``write_pattern`` makes, is read a column
-    block at a time (``_read_columns``); any other text, valid or not,
-    is read record by record, which alone raises, so every ParseError
-    names the same record and line either way.
+    A canonical file, the text ``write_pattern`` makes, is read by its
+    layout (``_read_columns``); any other text, valid or not, is read
+    record by record, which alone raises, so every ParseError names the
+    same record and line either way.
     """
     return _read_columns(text) or _read_records(text)
 
 
-#: Record text after "d p q", with the store code it reads as (a
-#: boundary code is the store code plus BOUNDARY).
-_TAIL_CODES = {tail: code % BOUNDARY for code, tail in enumerate(_RECORD_TAILS) if tail}
+#: A colored record's code by the third character from its end, that of
+#: " blue", " blue *", " red" or " red *"; any other reads NO_COLOR.
+_CODE_BY_CHAR = bytes(BLUE_CODE if c in b"le" else RED_CODE if c in b"rd" else NO_COLOR
+                      for c in range(256))
+#: Characters of colored records split at a time: the codes take a byte
+#: a record, but a whole body split at once would hold a string object
+#: per record and raise the peak memory of a read above the file's size.
+_CHUNK = 1 << 16
 
 
 def _read_columns(text: str) -> tuple[PatternPatch, str] | None:
     """The patch and seq of a canonical pattern file, or None.
 
-    The writer emits each column as one block of ``"d p q tail"`` lines
-    behind a shared ``"d p "`` prefix, q ascending.  A block is split on
-    its prefix once, its records looked up in per-direction dicts
-    (``"q tail"`` to row index and to code) and written into a padded
-    grid of the direction's rows, the layout of ``_columns``, with one
-    extended-slice assignment.  The result stands only when
+    The region header fixes the records' order: one per segment, a
+    column at a time in (d, p, q) order, the uncolored boundary ones
+    (``unknown *``) last.  Only those trailing records are parsed; they
+    sit at column ends, so each column's colored run is what is left
+    between them, and it takes the codes of the next colored records
+    in turn, read off their tails.  The result stands only when
     ``write_pattern`` gives the text back byte for byte, so a file this
     accepts reads the same record by record.  A header whose window has
     more segments than the file has lines is left to ``_read_records``.
     """
     head = text.split("\n", 3)
     if len(head) < 4 or head[0] != PATTERN_MAGIC or head[1][:4] != "seq " \
-            or head[1].splitlines() != [head[1]]:
+            or head[1].splitlines() != [head[1]] or not text.endswith("\n"):
         return None
-    body = head[3]
-    records = body.count("\n")
+    body = len(text) - len(head.pop())
+    records = text.count("\n", body)
     try:
         region = _parse_region(head[2].split(), 3, records)
     except ParseError:
@@ -238,53 +248,47 @@ def _read_columns(text: str) -> tuple[PatternPatch, str] | None:
     extents = region.segment_rows()
     if sum(stop - first for by_q in extents for first, stop in by_q.values()) != records:
         return None
-    grids = []
-    for by_q in extents:
-        qs = list(by_q)
-        lo = min((first for first, _ in by_q.values()), default=0)
-        width = max((stop for _, stop in by_q.values()), default=lo) - lo
-        keys = [(f"{q}{tail}", i, code) for i, q in enumerate(qs)
-                for tail, code in _TAIL_CODES.items()]
-        grids.append((lo, width, len(qs), bytearray([NO_COLOR]) * (len(qs) * width),
-                      {key: i for key, i, _ in keys}, {key: code for key, _, code in keys}))
+    marks = blank_rows(region, UNREAD)
+    # the trailing records, each naming a boundary segment once, so at
+    # most 3 * side of them: their bytes are marked NO_COLOR
+    unknown = {f"{d} {p} {q} unknown *\n": (by_q[q][1], p - by_q[q][0])
+               for d, (spans, by_q) in enumerate(zip(region.side_rows(), marks), start=1)
+               for q, (lo, hi) in spans.items() for p in range(lo, hi)}
+    end = len(text)
+    while True:
+        start = text.rfind("\n", 0, end - 1) + 1
+        row, i = unknown.pop(text[start:end], (None, 0))
+        if row is None:
+            break
+        row[i] = NO_COLOR
+        end = start
+    codes = bytearray()
+    pos = body
+    # every chunk ends at a newline, the last at the final one checked above
+    while pos < end:
+        cut = text.find("\n", min(pos + _CHUNK, end) - 1) + 1
+        tails = "".join(map(itemgetter(slice(-3, -2)), text[pos:cut - 1].split("\n")))
+        codes += tails.encode("ascii", "replace").translate(_CODE_BY_CHAR)
+        pos = cut
     pos = 0
-    while pos < len(body):
-        cut = body.find(" ", body.find(" ", pos) + 1) + 1
-        prefix = body[pos:cut]
-        try:
-            d, p = map(int, prefix.split())
-        except ValueError:
-            return None
-        if d not in (1, 2, 3):
-            return None
-        lo, width, height, grid, row_of, code_of = grids[d - 1]
-        # the block ends where the next column's begins, nearly always
-        # column p + 1, within the longest lines of a full column; when
-        # that misses, the block's lines are walked
-        stop = body.find(f"\n{d} {p + 1} ", pos, pos + height * (len(prefix) + 20)) + 1
-        if not stop or body.count("\n", pos, stop) != body.count("\n" + prefix, pos, stop) + 1:
-            stop = pos
-            while body.startswith(prefix, stop):
-                stop = body.find("\n", stop) + 1
-                if not stop:
-                    return None
-        block = body[pos + len(prefix):stop - 1].split("\n" + prefix)
-        try:
-            codes = bytes(map(code_of.__getitem__, block))
-            i = row_of[block[0]]
-        except KeyError:
-            return None
-        j = p - lo
-        if not 0 <= j < width or row_of[block[-1]] != i + len(block) - 1:
-            return None
-        grid[j + i * width:j + (i + len(block)) * width:width] = codes
-        pos = stop
-    rows = []
-    for by_q, (lo, width, _, grid, _, _) in zip(extents, grids):
-        grid = bytes(grid)
-        rows.append({q: (first, grid[i * width + first - lo:i * width + stop - lo])
-                     for i, (q, (first, stop)) in enumerate(by_q.items())})
-    patch, seq = freeze(region, rows), head[1][4:]
+    skip = _PAD + _UNCOLORED
+    for by_q in marks:
+        qs, lo, width, grid = _grid(by_q)
+        filled = bytearray(grid)
+        for j in range(width):
+            column = grid[j::width]
+            run = column.lstrip(skip)
+            i, n = len(column) - len(run), len(run.rstrip(skip))
+            if pos + n > len(codes):  # an unknown inside a column, or a short line
+                return None
+            filled[j + i * width:j + (i + n) * width:width] = codes[pos:pos + n]
+            pos += n
+        filled = bytes(filled)
+        for r, q in enumerate(qs):
+            first, row = by_q[q]
+            at = r * width + first - lo
+            by_q[q] = (first, filled[at:at + len(row)])
+    patch, seq = freeze(region, marks), head[1][4:]
     return (patch, seq) if write_pattern(patch, seq) == text else None
 
 
@@ -431,7 +435,9 @@ def render_svg(patch: PatternPatch) -> str:
 
     A vertex (p, q) sits at x = 12 (2p + q - 1), y = -(3q - 1) sqrt(3) / 6
     scaled, so the coordinate texts are made once per value of 2p + q - 1
-    and once per row q, each from Vertex.xy.
+    and once per row q, each from Vertex.xy.  A window's rows are
+    consecutive q, so each maximal colored run of a column is drawn as
+    one slice of those texts.
     """
     rows = patch.colors.interior()
     spans = [(2 * first + q - 1, 2 * (first + len(row)) + q + 1, q)
@@ -457,29 +463,20 @@ def render_svg(patch: PatternPatch) -> str:
         qs, columns = _columns(by_q)
         for p, i, codes in columns:
             base = 2 * p - 1 - n0
-            run = codes.strip(_UNCOLORED)
-            if not run:
-                continue
-            start = i + len(codes) - len(codes.lstrip(_UNCOLORED))
-            low, high = qs[start], qs[start + len(run) - 1]
-            if max(run) < NO_COLOR and high - low == len(run) - 1:
-                # one colored run over consecutive rows: slice the pieces
-                x1, y1 = base + low, low - q0
-                body.append("\n".join(map("".join, zip(
-                    starts[x1:x1 + len(run)], mids[y1:y1 + len(run)],
-                    x_text[x1 + dn:x1 + dn + len(run)], ends[y1 + dq:y1 + dq + len(run)],
-                    map(tails.__getitem__, run)))))
-            else:
-                kept = [(q, c) for q, c in zip(qs[i:], codes) if c < NO_COLOR]
-                if not kept:
-                    continue
-                body += [f"{starts[base + q]}{mids[q - q0]}{x_text[base + q + dn]}"
-                         f"{ends[q + dq - q0]}{tails[c]}" for q, c in kept]
-                (low, _), (high, _) = kept[0], kept[-1]
-            # x grows with 2p + q and y falls with q: the column's ends
-            # hold its extremes
-            xs += [x_at[base + low], x_at[base + high + dn]]
-            ys += [y_at[q - q0] for q in (low, low + dq, high, high + dq)]
+            for run in codes.split(_UNCOLORED):
+                if run:
+                    low = qs[i]
+                    high = low + len(run) - 1
+                    x1, y1 = base + low, low - q0
+                    body.append("\n".join(map("".join, zip(
+                        starts[x1:x1 + len(run)], mids[y1:y1 + len(run)],
+                        x_text[x1 + dn:x1 + dn + len(run)], ends[y1 + dq:y1 + dq + len(run)],
+                        map(tails.__getitem__, run)))))
+                    # x grows with 2p + q and y falls with q: the run's ends
+                    # hold its extremes
+                    xs += [x_at[base + low], x_at[base + high + dn]]
+                    ys += [y_at[q - q0] for q in (low, low + dq, high, high + dq)]
+                i += len(run) + 1
     return _svg_document(body, xs, ys)
 
 

@@ -7,6 +7,9 @@ from trifold.errors import ParseError
 from trifold.folding import FoldingSequence, PatternPatch, ball_patch, patch
 from trifold.lattice import NEGATIVE, POSITIVE, Seg
 from trifold.patternio import (
+    MARGIN,
+    SCALE,
+    _fmt,
     read_pattern,
     read_tiling,
     render_svg,
@@ -298,6 +301,12 @@ def test_svg_of_a_patch_with_holes_keeps_the_full_patch_lines():
     assert len(holed) == len(kept)
     at = iter(lines)
     assert all(ln in at for ln in holed)
+    # the view box bounds the kept segments alone
+    points = [(x * SCALE, -y * SCALE) for s in kept for v in s.endpoints() for x, y in [v.xy()]]
+    x0, x1 = min(x for x, _ in points) - MARGIN, max(x for x, _ in points) + MARGIN
+    y0, y1 = min(y for _, y in points) - MARGIN, max(y for _, y in points) + MARGIN
+    box = f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}"'
+    assert box in render_svg(PatternPatch(full.region, kept)).splitlines()[0]
 
 
 def test_svg_empty_patch():

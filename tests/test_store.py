@@ -257,6 +257,29 @@ def test_canonical_files_never_reach_the_record_reader(window, seq):
     assert got == seq and back.region == p.region and back.colors.rows == p.colors.rows
 
 
+@exact
+@given(periodic, st.integers(1, 6), st.sampled_from(("colored", "unknown", "holed")),
+       st.randoms(use_true_random=False))
+def test_partly_unknown_sides_read_as_the_records_say(seq, k, side3, rng):
+    # unknown direction-1 and direction-2 side segments sit at column
+    # ends, where the column reader trims them; the direction-3 side is
+    # one column, and a hole inside it is left to the record reader
+    def unknown(seg):
+        if seg.d != 3 or side3 == "holed":
+            return rng.random() < 0.5
+        return side3 == "unknown"
+
+    full = patch(seq, k)
+    drop = set(filter(unknown, full.region.iter_boundary_segments()))
+    p = PatternPatch(full.region, {s: c for s, c in full.colors.items() if s not in drop})
+    text = write_pattern(p, "s")
+    with pytest.MonkeyPatch.context() as patcher:
+        if side3 != "holed":
+            patcher.setattr(patternio, "_read_records", _no_record_reads)
+        back, _ = read_pattern(text)
+    assert back.colors.rows == patternio._read_records(text)[0].colors.rows == p.colors.rows
+
+
 _TOKENS = st.sampled_from(["red", "blue", "unknown", "*", "x", "0", "-1", "4", "99", "", "1 2"])
 
 
