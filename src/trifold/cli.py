@@ -328,6 +328,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the window or word is too large for the memory at hand: a
+        # usage limit, not a property violation
+        print("error: out of memory; try a smaller window or a shorter word", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,12 +16,18 @@ matches the parity of the step count (positive for even, negative for
 odd): composing the rules last-to-first from such a seed reproduces
 the folding pattern of the word on all interior segments.
 
-Inflation stays tile-local on the ``WindowColors`` rows: each tile's
-6-bit side code (``WindowColors.tile_codes``) picks its 12 child-side
-writes from a table built once per rule and orientation from
-``apply_rule_tile`` and the children's anchors, a constant offset table
-per orientation whose sides come from ``lattice.unit_tile_segments``;
-every write is checked against the byte already there.
+Inflation works on the ``WindowColors`` rows a tile row at a time.  A
+tile's 6-bit side code (``WindowColors.tile_codes``) fixes its 12
+child-side writes, a table built once per rule and orientation from
+``apply_rule_tile`` and the children's anchors (a constant offset table
+per orientation whose sides come from ``lattice.unit_tile_segments``).
+Each of the 12 write slots is one child segment per tile, two anchors
+apart from tile to tile, so a slot is a 64-entry code -> color table:
+one ``translate`` of the row's codes gives the slot's bytes for the
+whole row, and they land in one child row as an extended slice of step
+2.  Every slice is merged with the bytes already there through a
+16-entry merge table, which gives an error byte where two writes
+disagree (a seam conflict) or where a tile has an uncolored side.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .folding import (
     Color,
     PatternPatch,
     blank_rows,
+    combine,
     freeze,
 )
 from .lattice import NEGATIVE, POSITIVE, Seg, TriRegion, standard_region, unit_tile_segments
@@ -154,13 +161,36 @@ def _child_writes(rule: str, orientation: int) -> tuple:
     return tuple(table)
 
 
+#: The byte of a slot table for a tile with an uncolored side, and the
+#: byte ``_MERGE`` gives for it and for a seam conflict.
+_BAD = 3
+#: old + 4 new -> merged byte, as a translate table of which 16 entries
+#: are used: old is the byte already in the child row (NO_COLOR or a
+#: color), new is a slot table's byte (a color or _BAD).
+_MERGE = bytes(new if new < NO_COLOR and old in (new, NO_COLOR) else _BAD
+               for new, old in (divmod(i, 4) for i in range(256)))
+
+
+@cache
+def _slot_tables(writes: tuple) -> tuple[tuple[int, int, int, bytes], ...]:
+    """A ``_child_writes`` table as its 12 slots (d, dp, dq, colors): the
+    slot writes Seg(d, 2p + dp, 2q + dq) for every tile, and colors is a
+    translate table from tile code to that write's byte, _BAD for a code
+    with an uncolored side.  Keyed by the table itself, so a changed
+    table makes new slots."""
+    full = next(entry for entry in writes if entry is not None)
+    return tuple((d, dp, dq, bytes(_BAD if entry is None else entry[s][3] for entry in writes)
+                  + bytes([_BAD]) * (256 - len(writes)))
+                 for s, (d, dp, dq, _) in enumerate(full))
+
+
 def apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
     """Inflate a fully colored triangular patch by one rule application.
 
-    Every unit tile is replaced by its four children, written from a
-    table of its tile code; shared segments are written from both
-    adjacent tiles and must agree, otherwise SeamConflict reports a rule
-    bug.
+    Every unit tile is replaced by its four children, written a tile row
+    and a slot at a time from its tile code; shared segments are written
+    from both adjacent tiles and must agree, otherwise SeamConflict
+    reports a rule bug.
     """
     region = patch.region
     if not isinstance(region, TriRegion):
@@ -171,24 +201,23 @@ def apply_rule_patch(rule: str, patch: PatternPatch) -> PatternPatch:
                            2 * region.w3 - anchor[2])
     # the inflation vertex (pa, qa) moves the children by (-pa, -qa)
     pa, qa = (1 - anchor[2]) // 3, (1 - anchor[0]) // 3
+    slots = {o: _slot_tables(_child_writes(rule, o)) for o in (POSITIVE, NEGATIVE)}
     out = blank_rows(new_region)
     for o, q, first, codes in patch.colors.tile_codes():
-        table = _child_writes(rule, o)
-        for i, code in enumerate(codes):
-            writes = table[code]
-            if writes is None:
-                raise ValueError("patch is not fully colored (boundary sides included)")
-            p2, q2 = 2 * (first + i) - pa, 2 * q - qa
-            for d, dp, dq, color in writes:
-                start, row = out[d - 1][q2 + dq]
-                j = p2 + dp - start
-                prev = row[j]
-                if prev != color:
-                    if prev != NO_COLOR:
-                        seg = Seg(d, p2 + dp, q2 + dq)
-                        raise SeamConflict(f"{seg}: {CODE_COLORS[prev].value} vs "
-                                           f"{CODE_COLORS[color].value}")
-                    row[j] = color
+        n = len(codes)
+        for d, dp, dq, colors in slots[o]:
+            p2, q2 = 2 * first - pa + dp, 2 * q - qa + dq
+            start, row = out[d - 1][q2]
+            cut = slice(p2 - start, p2 - start + 2 * n - 1, 2)
+            old, new = row[cut], codes.translate(colors)
+            merged = combine((old, new), (1, 4), n).translate(_MERGE)
+            i = merged.find(_BAD)
+            if i >= 0:
+                if new[i] == _BAD:
+                    raise ValueError("patch is not fully colored (boundary sides included)")
+                raise SeamConflict(f"{Seg(d, p2 + 2 * i, q2)}: {CODE_COLORS[old[i]].value} vs "
+                                   f"{CODE_COLORS[new[i]].value}")
+            row[cut] = merged
     return freeze(new_region, out)
 
 

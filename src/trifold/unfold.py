@@ -9,7 +9,12 @@ flap direction while the mirrored contents swap color regardless.
 
 A step copies the ``WindowColors`` rows a grid line at a time
 (``folding.through_lines``; see ``unfold_once``) and never evaluates
-the closed-form layer rule.
+the closed-form layer rule.  A mirror is affine, so it sends every line
+of one direction to lines of one direction, and positions along them by
+one affine map: the step fits that map once per line direction and
+mirror from three ``lattice.reflect_segment`` images
+(``_fit_mirror_map``), and places each line's mirrored bytes with
+integer arithmetic alone.
 """
 
 from __future__ import annotations
@@ -66,20 +71,32 @@ def _patch_exponent(region) -> int:
     raise OrientationMismatch(f"{region} is not a centered side-2^m patch")
 
 
+def _fit_mirror_map(d: int, mirror: Line) -> tuple[int, int, int, int, int, int]:
+    """(e, a, b, g, h, i): the mirror sends position t of the grid line
+    {f_d = 3n + 1} to position g n + h t + i (h = +-1) of the line
+    {f_e = a (3n + 1) + b}.  Read off the images of positions 0 and 1 on
+    the line n = 0 and of position 0 on n = 1."""
+    images = [reflect_segment(segment_at(d, v, t), mirror) for v, t in ((1, 0), (1, 1), (4, 0))]
+    (w0, c0), (_, c1), (w1, c2) = map(line_position, images)
+    a = (w1 - w0) // 3
+    return images[0].d, a, w0 - a, c2 - c0, c1 - c0, c0
+
+
 def unfold_once(patch: PatternPatch, fold: MixedFold) -> PatternPatch:
     """Open one elementary (possibly mixed) folding: side 2^m -> 2^(m+1).
 
     The patch is the medial triangle of the big one, and its side lines
     {f_d = (-2)^m} are the mirrors.  A mirror maps position t of a line
-    to c + s t (s = +-1) on the image line, so each interior line of the
+    to c + h t (h = +-1) on the image line, so each interior line of the
     patch is written four times: as it is, and color-swapped onto its
-    image under each mirror.  Inside the big window a mirror line is
-    exactly the old side, the crease of its flap.
+    image under each mirror, reversed where h = -1.  Inside the big
+    window a mirror line is exactly the old side, the crease of its flap.
     """
     m = _patch_exponent(patch.region)
     big = standard_region(m + 1)
     mid_value = (-2) ** m
     mirrors = [Line(d, mid_value) for d in (1, 2, 3)]
+    maps = [[_fit_mirror_map(d, line) for line in mirrors] for d in (1, 2, 3)]
     creases = [bytes([RED_CODE if f == UP else BLUE_CODE]) for f in fold]
     writes: dict[tuple[int, int], list[tuple[int, bytes]]] = {}
 
@@ -90,13 +107,11 @@ def unfold_once(patch: PatternPatch, fold: MixedFold) -> PatternPatch:
         start, body = t0 + lo, bytes(cells[lo:hi])
         writes.setdefault((d, v), []).append((start, body))
         swapped = body.translate(SWAP)
-        first, second = segment_at(d, v, start), segment_at(d, v, start + 1)
-        for line in mirrors:
-            image = reflect_segment(first, line)
-            w, c = line_position(image)
-            _, c2 = line_position(reflect_segment(second, line))
-            part = (c, swapped) if c2 > c else (c - len(body) + 1, swapped[::-1])
-            writes.setdefault((image.d, w), []).append(part)
+        n = (v - 1) // 3
+        for e, a, b, g, h, i in maps[d - 1]:
+            c = g * n + h * start + i
+            part = (c, swapped) if h > 0 else (c - len(body) + 1, swapped[::-1])
+            writes.setdefault((e, a * v + b), []).append(part)
 
     def emit(d: int, v: int, t0: int, cells: bytearray) -> Optional[bytearray]:
         if v == mid_value:

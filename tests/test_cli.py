@@ -214,6 +214,28 @@ def test_negative_matrix_power_exits_two():
     assert len([ln for ln in proc.stderr.splitlines() if "error:" in ln]) == 1
 
 
+def _limit_address_space():
+    # runs in the child only: about 1 GB of address space for its own process
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seq=" + "+" * 16],
+    ["generate", "--seq=(+)*", "--size", "16", "--out", "x.pat"],
+])
+def test_a_window_too_large_for_memory_exits_two(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(trifold.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "trifold.cli", *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, preexec_fn=_limit_address_space,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: out of memory; try a smaller window or a shorter word"]
+    assert not (tmp_path / "x.pat").exists()
+
+
 def _tiling_inputs(tmp_path, capsys):
     pat = tmp_path / "p.pat"
     run(capsys, "generate", "--seq", "(+)*", "--ball", "6", "--out", str(pat))

@@ -11,12 +11,26 @@ from hypothesis import strategies as st
 
 import trifold.substitution as substitution
 import trifold.unfold as unfold
-from oracles import dict_apply_rule_patch, dict_unfold_once, interior_colors
+from oracles import (
+    _placed_children,
+    dict_apply_rule_patch,
+    dict_unfold_once,
+    interior_colors,
+    unit_sides,
+    unit_triangle,
+)
 from trifold import cli
 from trifold.analysis import tile_class_counts
 from trifold.errors import SeamConflict
-from trifold.folding import UP, FoldingSequence, PatternPatch, interior_mismatches, patch
-from trifold.lattice import POSITIVE, standard_region, unit_tile_segments
+from trifold.folding import (
+    TILE_SIDES,
+    UP,
+    FoldingSequence,
+    PatternPatch,
+    interior_mismatches,
+    patch,
+)
+from trifold.lattice import POSITIVE, Seg, standard_region, unit_tile_segments
 from trifold.substitution import (
     RULES,
     apply_rule_patch,
@@ -71,6 +85,19 @@ def test_partly_colored_patch_is_rejected():
     window = patch(FoldingSequence("++"), 2)  # a_3 undefined: no boundary colors
     with pytest.raises(ValueError, match="not fully colored"):
         apply_rule_patch("+", window)
+
+
+def test_a_partly_colored_tile_in_the_middle_of_its_row_is_rejected():
+    window = patch(FoldingSequence("+-++"), 3)  # boundary colored by a_4
+    (q1, (first, stop)), = window.region.side_rows()[0].items()
+    victim = Seg(1, (first + stop) // 2, q1)
+    partly = PatternPatch(window.region,
+                          {seg: c for seg, c in window.colors.items() if seg != victim})
+    uncolored = [(i, len(codes)) for _, _, _, codes in partly.colors.tile_codes()
+                 for i, code in enumerate(codes) if TILE_SIDES[code] is None]
+    assert len(uncolored) == 1 and 0 < uncolored[0][0] < uncolored[0][1] - 1
+    with pytest.raises(ValueError, match="not fully colored"):
+        apply_rule_patch("+", partly)
 
 
 # -- mutations that verify must catch -----------------------------------------
@@ -138,8 +165,15 @@ def test_an_unswapped_corner_side_raises_seam_conflict(monkeypatch):
     real = substitution._child_writes
     monkeypatch.setattr(substitution, "_child_writes", lambda rule, orientation: tuple(table)
                         if (rule, orientation) == ("+", o) else real(rule, orientation))
-    with pytest.raises(SeamConflict):
+    with pytest.raises(SeamConflict) as raised:
         apply_rule_patch("+", window)
+    # the text names where the seam breaks: a direction-2 child of that tile
+    region = window.region
+    anchor = (region.w1, -region.w1 - region.w3, region.w3)
+    children = {str(unit_sides(child)[1]) for child, _ in
+                _placed_children("+", unit_triangle(o, first, q), TILE_SIDES[code], anchor)}
+    named, colors = str(raised.value).split(": ")
+    assert named in children and colors in ("red vs blue", "blue vs red")
 
 
 @settings(deadline=None, max_examples=15)

@@ -1,12 +1,20 @@
 import itertools
+import random
 
 import pytest
 
 from oracles import disallowed_stars, interior_colors, interior_items
 from trifold.errors import OrientationMismatch
 from trifold.folding import Color, FoldingSequence, PatternPatch, patch
-from trifold.lattice import Line, Seg, reflect_segment, standard_region
-from trifold.unfold import parse_mixed_word, unfold_once, unfold_pattern, uniform, uniform_word
+from trifold.lattice import Line, Seg, reflect_segment, segment_at, standard_region
+from trifold.unfold import (
+    _fit_mirror_map,
+    parse_mixed_word,
+    unfold_once,
+    unfold_pattern,
+    uniform,
+    uniform_word,
+)
 
 
 def test_parse_mixed_word():
@@ -66,6 +74,26 @@ def test_side_parts_are_swapped_mirrors():
                 image = reflect_segment(seg, mirror)
                 if image != seg:
                     assert p.colors[image] is col.swapped
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_fitted_mirror_maps_equal_reflect_segment(m):
+    # a line's mirrored bytes land from its first position's image on,
+    # or, reversed (h = -1), up to it: both ends of a run must map right
+    rng = random.Random(m)
+    steps = set()
+    reach = 3 << m
+    for d, e in itertools.product((1, 2, 3), repeat=2):
+        mirror = Line(e, (-2) ** m)
+        image_d, a, b, g, h, i = _fit_mirror_map(d, mirror)
+        steps.add(h)
+        for _ in range(25):
+            n, start = rng.randint(-reach, reach), rng.randint(-reach, reach)
+            v = 3 * n + 1
+            for t in (start, start + rng.randint(1, reach)):
+                assert reflect_segment(segment_at(d, v, t), mirror) == \
+                    segment_at(image_d, a * v + b, g * n + h * t + i), (d, e, n, t)
+    assert steps == {1, -1}
 
 
 def test_interior_count_recurrence():
