@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analysis, folding, patternio, spectral, substitution, tiling, unfold
 from .errors import Inconsistent, ParseError, TrifoldError
-from .folding import CODE_COLORS, NO_COLOR, FoldingSequence, PatternPatch
+from .folding import BLUE_CODE, NO_COLOR, RED_CODE, FoldingSequence, PatternPatch, combine
 from .lattice import layer_of
 
 
@@ -191,19 +191,27 @@ def cmd_reconstruct(args) -> int:
     print(f"reconstructed {len(colors)} segments")
     if args.ref:
         ref, _ = patternio.read_pattern(_read_file(args.ref))
-        bad = checked = 0
-        # the eroded region's interior spans lie inside the reference's rows
-        spans = ref.region.erode(args.margin).interior_rows()
-        for d, (by_q, rows) in enumerate(zip(spans, ref.colors.rows), start=1):
-            for q, (first, stop) in by_q.items():
-                f, row = rows[q]
-                for p, code in enumerate(row[first - f:stop - f], start=first):
-                    if code != NO_COLOR:
-                        checked += 1
-                        bad += colors.get((d, p, q)) is not CODE_COLORS[code]
+        checked, bad = _reference_match(colors, ref, args.margin)
         print(f"reference match: {checked - bad}/{checked}")
         return 1 if bad else 0
     return 0
+
+
+def _reference_match(colors: tiling.Runs, ref: PatternPatch, margin: int) -> tuple[int, int]:
+    """(checked, bad) over the colored segments of the reference's eroded
+    interior, one row slice at a time; bad ones are open or differ."""
+    checked = matched = 0
+    # the eroded region's interior spans lie inside the reference's rows
+    spans = ref.region.erode(margin).interior_rows()
+    for d, (by_q, rows) in enumerate(zip(spans, ref.colors.rows), start=1):
+        for q, (first, stop) in by_q.items():
+            f, row = rows[q]
+            want = row[first - f:stop - f]
+            # want + 3 got: 0 where both are blue, 4 where both are red
+            pairs = combine((want, colors.row(d, q, first, stop)), (1, 3), len(want))
+            checked += len(want) - want.count(NO_COLOR)
+            matched += pairs.count(BLUE_CODE) + pairs.count(4 * RED_CODE)
+    return checked, checked - matched
 
 
 def cmd_stars(args) -> int:

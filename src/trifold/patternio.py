@@ -17,10 +17,13 @@ the file has lines.  Both paths end in ``freeze``.
 Tiling files carry ``orient p q red_count [slot]`` records, each a
 tile of the region when a header names one (checked against the
 region's vertex rows next to the record's own row, never all of them)
-and none repeated.  Tilings are keyed by the same anchors
-(orientation, p, q) the records carry, so the writer and the tile
-renderer sort the keys and take a tile's corners and sides from the
-``lattice`` tables, and the reader keys each record by its own anchor.
+and none repeated, positive tiles first, then by (p, q).  Tilings are
+``tiling.Runs`` of tile codes, so the two formats share the column
+grid: the writer reads each orientation's tile rows a column at a time
+(a sparse tiling's a sorted record at a time), and a canonical file,
+every tile of its header region listed, is read back by that layout and
+kept only when it writes back byte for byte.  Any other file is read
+record by record, the only path that raises.
 Both formats start with a magic line and a ``seq`` or ``seq <text>``
 line.  Serialization is canonical, so read/write round trips are byte
 identical.  Floats appear only in the SVG emitter, at a fixed four
@@ -31,8 +34,9 @@ colored run of a column are joined from those pieces.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import repeat
 from operator import getitem, itemgetter
-from typing import Iterator
 
 from .errors import ParseError
 from .folding import BLUE_CODE, NO_COLOR, RED_CODE, Color, PatternPatch, blank_rows, freeze
@@ -50,7 +54,7 @@ from .lattice import (
     tile_rows,
     unit_tile_segments,
 )
-from .tiling import Anchor, DecoratedTile, tile_name
+from .tiling import DECORATIONS, NO_TILE, Anchor, RunRows, Runs, anchor_rows
 
 PATTERN_MAGIC = "trifold-pattern v1"
 TILING_MAGIC = "trifold-tiling v1"
@@ -124,7 +128,7 @@ def _unfillable(parts: list[str], records: int, line_no: int) -> ParseError:
 #: padding of ``_grid``.
 BOUNDARY = 3
 UNREAD = 3
-ABSENT = 6
+ABSENT = NO_TILE
 _FLAG = bytes(c + BOUNDARY if c <= NO_COLOR else c for c in range(256))
 _READ = bytes(NO_COLOR if c == UNREAD else c for c in range(256))
 #: Record text after "d p q", by code; the writer's two passes keep the
@@ -168,33 +172,59 @@ def _columns(by_q: dict[int, tuple[int, bytes]]
     return qs, columns()
 
 
-def write_pattern(patch: PatternPatch, seq: str = "") -> str:
-    """The colored records in (d, p, q) order, then the uncolored
-    boundary records, also in that order.
+def _fill_columns(by_q: dict[int, tuple[int, bytes]], codes: bytes, pos: int,
+                  skip: bytes = _PAD) -> int | None:
+    """Fill rows as ``_grid`` lays them out, in place: each column's run
+    between its ``skip`` bytes takes the next ``codes`` from ``pos``.  The
+    new pos, or None when the codes run out."""
+    qs, lo, width, grid = _grid(by_q)
+    filled = bytearray(grid)
+    for j in range(width):
+        column = grid[j::width]
+        run = column.lstrip(skip)
+        i, n = len(column) - len(run), len(run.rstrip(skip))
+        if pos + n > len(codes):
+            return None
+        filled[j + i * width:j + (i + n) * width:width] = codes[pos:pos + n]
+        pos += n
+    filled = bytes(filled)
+    for r, q in enumerate(qs):
+        first, row = by_q[q]
+        at = r * width + first - lo
+        by_q[q] = (first, filled[at:at + len(row)])
+    return pos
 
-    A column's records are its rows' texts picked by code, so one
-    column is one join behind its shared ``"d p "`` prefix; each pass
-    first turns the codes it does not write into ABSENT, whose text is
-    empty.
-    """
-    chunks = [f"{PATTERN_MAGIC}\nseq {seq}\n{_region_header(patch.region)}\n"]
-    directions = []
-    for d, by_q in enumerate(patch.colors.on_sides(_FLAG), start=1):
-        qs, columns = _columns(by_q)
-        texts = [tuple(tail and f"{q}{tail}" for tail in _RECORD_TAILS) for q in qs]
-        directions.append((d, texts, list(columns)))
-    for only in (_COLORED_PASS, _UNKNOWN_PASS):
-        for d, texts, columns in directions:
-            for p, i, codes in columns:
+
+def _write(head: str, parts, tails: tuple[str, ...], passes=(None,)) -> str:
+    """``head``, then per pass and (prefix, rows) part one record per byte,
+    a column at a time: its rows' texts, ``q`` plus ``tails[byte]``, joined
+    behind one ``prefix + "p "``.  A pass table turns the bytes it leaves
+    out into ABSENT, whose text, like that of any code with no record, is
+    empty."""
+    chunks, columns = [head], []
+    for prefix, by_q in parts:
+        qs, cols = _columns(by_q)
+        columns.append((prefix, [tuple(t and f"{q}{t}" for t in tails) for q in qs], list(cols)))
+    for only in passes:
+        for lead, texts, cols in columns:
+            for p, i, codes in cols:
                 codes = codes.translate(only)
                 absent = codes.count(ABSENT)
                 if absent == len(codes):
                     continue
-                prefix = f"{d} {p} "
+                prefix = f"{lead}{p} "
                 records = map(getitem, texts[i:i + len(codes)], codes)
-                chunks += (prefix, ("\n" + prefix).join(filter(None, records) if absent else records),
-                           "\n")
+                records = filter(None, records) if absent else records
+                chunks += (prefix, ("\n" + prefix).join(records), "\n")
     return "".join(chunks)
+
+
+def write_pattern(patch: PatternPatch, seq: str = "") -> str:
+    """The colored records in (d, p, q) order, then the uncolored
+    boundary records, also in that order: a pass each (``_write``)."""
+    return _write(f"{PATTERN_MAGIC}\nseq {seq}\n{_region_header(patch.region)}\n",
+                  ((f"{d} ", by_q) for d, by_q in enumerate(patch.colors.on_sides(_FLAG), start=1)),
+                  _RECORD_TAILS, (_COLORED_PASS, _UNKNOWN_PASS))
 
 
 def read_pattern(text: str) -> tuple[PatternPatch, str]:
@@ -218,6 +248,34 @@ _CODE_BY_CHAR = bytes(BLUE_CODE if c in b"le" else RED_CODE if c in b"rd" else N
 _CHUNK = 1 << 16
 
 
+def _canonical_head(text: str, magic: str) -> tuple[Region, str, int, int] | None:
+    """(region, seq, body, records) of a text that may be a writer's, its
+    ``records`` lines from offset ``body`` on; None for any other."""
+    head = text.split("\n", 3)
+    if len(head) < 4 or head[0] != magic or head[1][:4] != "seq " \
+            or head[1].splitlines() != [head[1]] or not text.endswith("\n"):
+        return None
+    body = len(text) - len(head[3])
+    records = text.count("\n", body)
+    try:
+        region = _parse_region(head[2].split(), 3, records)
+    except ParseError:
+        return None
+    # a ball of radius r has at least r segments and r tiles, so the rows
+    # laid out stay within the file's size (as a triangle's header check sees to)
+    if isinstance(region, BallRegion) and region.radius > records:
+        return None
+    return region, head[1][4:], body, records
+
+
+def _lines(text: str, pos: int, end: int) -> Iterator[list[str]]:
+    """The lines of text[pos:end], ending at a newline, a chunk at a time."""
+    while pos < end:
+        cut = text.find("\n", min(pos + _CHUNK, end) - 1) + 1
+        yield text[pos:cut - 1].split("\n")
+        pos = cut
+
+
 def _read_columns(text: str) -> tuple[PatternPatch, str] | None:
     """The patch and seq of a canonical pattern file, or None.
 
@@ -231,20 +289,10 @@ def _read_columns(text: str) -> tuple[PatternPatch, str] | None:
     accepts reads the same record by record.  A header whose window has
     more segments than the file has lines is left to ``_read_records``.
     """
-    head = text.split("\n", 3)
-    if len(head) < 4 or head[0] != PATTERN_MAGIC or head[1][:4] != "seq " \
-            or head[1].splitlines() != [head[1]] or not text.endswith("\n"):
+    start = _canonical_head(text, PATTERN_MAGIC)
+    if start is None:
         return None
-    body = len(text) - len(head.pop())
-    records = text.count("\n", body)
-    try:
-        region = _parse_region(head[2].split(), 3, records)
-    except ParseError:
-        return None
-    # a ball of radius r has at least r segments, so the rows below stay
-    # within the file's size (a triangle's header check already sees to it)
-    if isinstance(region, BallRegion) and region.radius > records:
-        return None
+    region, seq, body, records = start
     extents = region.segment_rows()
     if sum(stop - first for by_q in extents for first, stop in by_q.values()) != records:
         return None
@@ -262,33 +310,14 @@ def _read_columns(text: str) -> tuple[PatternPatch, str] | None:
             break
         row[i] = NO_COLOR
         end = start
-    codes = bytearray()
-    pos = body
-    # every chunk ends at a newline, the last at the final one checked above
-    while pos < end:
-        cut = text.find("\n", min(pos + _CHUNK, end) - 1) + 1
-        tails = "".join(map(itemgetter(slice(-3, -2)), text[pos:cut - 1].split("\n")))
-        codes += tails.encode("ascii", "replace").translate(_CODE_BY_CHAR)
-        pos = cut
+    codes = b"".join("".join(map(itemgetter(slice(-3, -2)), lines)).encode("ascii", "replace")
+                     for lines in _lines(text, body, end)).translate(_CODE_BY_CHAR)
     pos = 0
-    skip = _PAD + _UNCOLORED
     for by_q in marks:
-        qs, lo, width, grid = _grid(by_q)
-        filled = bytearray(grid)
-        for j in range(width):
-            column = grid[j::width]
-            run = column.lstrip(skip)
-            i, n = len(column) - len(run), len(run.rstrip(skip))
-            if pos + n > len(codes):  # an unknown inside a column, or a short line
-                return None
-            filled[j + i * width:j + (i + n) * width:width] = codes[pos:pos + n]
-            pos += n
-        filled = bytes(filled)
-        for r, q in enumerate(qs):
-            first, row = by_q[q]
-            at = r * width + first - lo
-            by_q[q] = (first, filled[at:at + len(row)])
-    patch, seq = freeze(region, marks), head[1][4:]
+        pos = _fill_columns(by_q, codes, pos, _PAD + _UNCOLORED)
+        if pos is None:  # an unknown inside a column, or a short line
+            return None
+    patch = freeze(region, marks)
     return (patch, seq) if write_pattern(patch, seq) == text else None
 
 
@@ -347,20 +376,46 @@ def _read_records(text: str) -> tuple[PatternPatch, str]:
     return freeze(region, rows, _READ), seq
 
 
-def write_tiling(window: dict[Anchor, DecoratedTile], seq: str = "",
-                 region: Region | None = None) -> str:
-    lines = [TILING_MAGIC, f"seq {seq}"]
+#: A tile record's text after "P p q", by tile code up to the all-red 21,
+#: empty for no tile's (NO_TILE among them), and its code by that text.
+_TILE_TAILS = tuple("" if t is None else f" {t.red_count}" if t.decoration is None
+                    else f" {t.red_count} {t.decoration}" for t in DECORATIONS[:22])
+_TILE_CODES = {tail[1:]: code for code, tail in enumerate(_TILE_TAILS) if tail}
+#: Cells of an orientation's column grid per tile above which its sorted
+#: records are written instead, so a tiling read record by record, which
+#: may span any box, writes in memory its records size.  Windows have 1.5
+#: (ball) to 2 (triangle) cells a tile, where columns write 4x faster; on
+#: tiles scattered at random the two tie at 3 to 8 (2,000 to 16,000 tiles,
+#: best of 5 CPU times on a 2-core x86 box).
+_SPARSE = 4
+
+
+def write_tiling(window: Runs, seq: str = "", region: Region | None = None) -> str:
+    """The tiles' records, positive tiles first, then by (p, q): per
+    orientation, a column of tile codes at a time (``_write``), or a
+    sorted record at a time when its grid has over _SPARSE cells a tile."""
+    chunks = [f"{TILING_MAGIC}\nseq {seq}\n"]
     if region is not None:
-        lines.append(_region_header(region))
-    for anchor, tile in _by_anchor(window):
-        rec = f"{tile_name(*anchor)} {tile.red_count}"
-        lines.append(rec if tile.decoration is None else f"{rec} {tile.decoration}")
-    return "\n".join(lines) + "\n"
+        chunks.append(f"{_region_header(region)}\n")
+    for o, letter in ((POSITIVE, "P "), (NEGATIVE, "N ")):
+        ends = {q: (runs[0][0], runs[-1][0] + len(runs[-1][1]))
+                for (kind, q), runs in window.rows.items() if kind == o}
+        firsts, stops = zip(*ends.values()) if ends else ((0,), (0,))
+        tiles = sum(len(run) - run.count(window.blank)
+                    for q in ends for _, run in window.rows[(o, q)])
+        if len(ends) * (max(stops) - min(firsts)) <= _SPARSE * tiles:
+            rows = {q: (first, window.row(o, q, first, stop)) for q, (first, stop) in ends.items()}
+            chunks.append(_write("", [(letter, rows)], _TILE_TAILS))
+        else:
+            chunks += (f"{letter}{p} {q}{_TILE_TAILS[code]}\n"
+                       for p, q, code in _sorted_tiles(window, o))
+    return "".join(chunks)
 
 
-def _by_anchor(window: dict[Anchor, DecoratedTile]) -> list[tuple[Anchor, DecoratedTile]]:
-    """(anchor, tile) pairs, positive tiles first, then by (p, q)."""
-    return sorted(window.items(), key=lambda item: (-item[0][0], item[0][1], item[0][2]))
+def _sorted_tiles(window: Runs, o: int) -> list[tuple[int, int, int]]:
+    """(p, q, code) of the tiling's orientation-o tiles, by (p, q)."""
+    return sorted((first + i, q, code) for (kind, q), runs in window.rows.items() if kind == o
+                  for first, run in runs for i, code in enumerate(run) if code != window.blank)
 
 
 def _tile_spans(region: Region, q: int) -> dict[int, tuple[int, int]]:
@@ -371,7 +426,43 @@ def _tile_spans(region: Region, q: int) -> dict[int, tuple[int, int]]:
             if row == q}
 
 
-def read_tiling(text: str) -> tuple[dict[Anchor, DecoratedTile], str]:
+def read_tiling(text: str) -> tuple[Runs, str]:
+    """The tiling and seq of a tiling file: a canonical file by its
+    layout, any other text record by record, which alone raises."""
+    return _read_tile_columns(text) or _read_tile_records(text)
+
+
+def _read_tile_columns(text: str) -> tuple[Runs, str] | None:
+    """The tiling and seq of a canonical tiling file, or None: the columns
+    of each orientation's tile rows take the records' codes in turn, and
+    the result stands when ``write_tiling`` gives the text back."""
+    start = _canonical_head(text, TILING_MAGIC)
+    if start is None:
+        return None
+    region, seq, body, records = start
+    spans = list(tile_rows(region.segment_rows()))
+    if sum(stop - first for _, _, first, stop in spans) != records:
+        return None
+    try:
+        codes = b"".join(bytes(map(_TILE_CODES.get, map(itemgetter(3), map(
+            str.split, lines, repeat(" "), repeat(3))), repeat(ABSENT)))
+            for lines in _lines(text, body, len(text)))
+    except IndexError:  # a line of fewer than four fields
+        return None
+    rows: RunRows = {}
+    pos = 0
+    for o in (POSITIVE, NEGATIVE):
+        by_q = {q: (first, bytes(stop - first)) for kind, q, first, stop in spans if kind == o}
+        pos = _fill_columns(by_q, codes, pos)
+        if pos is None:  # a column with a gap
+            return None
+        rows.update(((o, q), [run]) for q, run in by_q.items())
+    tiles = Runs(rows)
+    return (tiles, seq) if write_tiling(tiles, seq, region) == text else None
+
+
+def _read_tile_records(text: str) -> tuple[Runs, str]:
+    """Any tiling file, record by record: the one reader that raises."""
     lines = text.splitlines()
     if not lines or lines[0] != TILING_MAGIC:
         raise ParseError(f"expected {TILING_MAGIC!r} header", 1)
@@ -381,7 +472,7 @@ def read_tiling(text: str) -> tuple[dict[Anchor, DecoratedTile], str]:
         region = _parse_region(lines[2].split(), 3)
         start = 3
     spans: dict[int, dict[int, tuple[int, int]]] = {}
-    window: dict[Anchor, DecoratedTile] = {}
+    window: dict[Anchor, int] = {}  # anchor -> tile code
     for no, raw in enumerate(lines[start:], start=start + 1):
         if not raw.strip():
             continue
@@ -408,8 +499,8 @@ def read_tiling(text: str) -> tuple[dict[Anchor, DecoratedTile], str]:
                 raise ParseError(f"tile {raw!r} is outside the region", no)
         if anchor in window:
             raise ParseError(f"tile {parts[0]} {p} {q} repeats an earlier record", no)
-        window[anchor] = DecoratedTile(count, slot)
-    return window, seq
+        window[anchor] = _TILE_CODES[f"{count}" if slot is None else f"{count} {slot}"]
+    return Runs(anchor_rows(window)), seq
 
 
 # -- SVG -------------------------------------------------------------------
@@ -480,13 +571,14 @@ def render_svg(patch: PatternPatch) -> str:
     return _svg_document(body, xs, ys)
 
 
-def render_tiling_svg(window: dict[Anchor, DecoratedTile]) -> str:
-    """Tiles as filled triangles keyed by red count; decorations are
-    dots near the marked side."""
+def render_tiling_svg(window: Runs) -> str:
+    """Tiles as filled triangles keyed by red count, positive tiles first,
+    then by (p, q); decorations are dots near the marked side."""
     body = []
     xs: list[float] = []
     ys: list[float] = []
-    for (o, p, q), tile in _by_anchor(window):
+    for o, (p, q, code) in ((o, t) for o in (POSITIVE, NEGATIVE) for t in _sorted_tiles(window, o)):
+        tile = DECORATIONS[code]
         verts = [Vertex(p + dp, q + dq).xy() for dp, dq in TILE_VERTICES[o]]
         pts = [(x * SCALE, -y * SCALE) for x, y in verts]
         xs.extend(x for x, _ in pts)

@@ -9,30 +9,34 @@ red has them red; one whose count no coloring of its open sides reaches
 is corrupt.  The rule reads only a tile's own three sides, never line
 values or layer arithmetic.
 
-The rule runs a row of tiles at a time.  The counts are laid out from
-the records alone, one byte string per block of consecutive tiles on a
-tile row, and the segments as bytearray runs covering the sides those
-blocks need.  Per block, the side slices and counts combine into a key
-byte per tile, ``RULE`` settles them in one translate and ``DIGITS``
-write the sides back.  Sweeps go forward, then backward, until one
-paints nothing, each visiting only the tiles whose sides changed.  A
-failure names the first corrupt tile a sweep reaches.
+A tiling is ``Runs`` of tile codes (folding.TILE_SIDES) along each tile
+row (orientation, q): a tile's red count and minority side fix its side
+colors, so its code is its label (``DECORATIONS``).  ``to_tiling`` keeps
+the window's tile-code rows, NO_TILE where a side is uncolored, and
+``strip_decoration`` translates them to red counts.
 
-Tilings are dicts keyed by tile anchor (orientation, p, q), the key the
-window store, the ``lattice`` tables and tiling files use too, and a
-tile is named as its tiling-file record names it (``tile_name``).
-``to_tiling`` labels tile codes through ``DECORATIONS``, the table the
-tile statistics share.
+The rule runs a block, a run of counts, at a time, in (q, orientation)
+order; a plain dict of counts is grouped into runs first.  The segments
+are bytearray runs covering the sides the blocks need.  Per block, the
+side slices and counts combine into a key byte per tile, ``RULE``
+settles them in one translate and ``DIGITS`` write the sides back.
+Sweeps go forward, then backward, until one paints nothing, each
+visiting only the tiles whose sides changed.  A failure names the first
+corrupt tile a sweep reaches as its record does (``tile_name``).  The
+segment runs are the result: Runs of store codes keyed (d, p, q), a
+tuple equal to its Seg.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import Inconsistent
 from .folding import (BLUE_CODE, CODE_COLORS, NO_COLOR, RED_CODE, TILE_SIDES, Color,
                       PatternPatch, combine)
-from .lattice import POSITIVE, TILE_SEGMENTS, Seg
+from .lattice import POSITIVE, TILE_SEGMENTS
 
 class DecoratedTile(NamedTuple):
     red_count: int
@@ -65,19 +69,81 @@ def tile_name(o: int, p: int, q: int) -> str:
     return f"{'P' if o == POSITIVE else 'N'} {p} {q}"
 
 
-def to_tiling(patch: PatternPatch) -> dict[Anchor, DecoratedTile]:
-    """Convert every fully colored unit triangle of the window."""
-    window = {}
-    for o, q, first, codes in patch.colors.tile_codes():
-        for i, code in enumerate(codes):
-            label = DECORATIONS[code]
-            if label is not None:
-                window[(o, first + i, q)] = label
-    return window
+#: A code with an uncolored side, so no tile's: a tiling's byte for a tile
+#: that has one.
+NO_TILE = 6
+#: (kind, q) -> [(first, bytes), ...] in increasing first, none touching.
+RunRows = dict[tuple[int, int], list[tuple[int, bytes]]]
 
 
-def strip_decoration(window: dict[Anchor, DecoratedTile]) -> dict[Anchor, int]:
-    return {a: t.red_count for a, t in window.items()}
+@dataclass(frozen=True, eq=False)
+class Runs(Mapping):
+    """Entries keyed (kind, p, q) as byte runs, a read-only Mapping: byte i
+    of a run of ``rows[(kind, q)]`` is the entry at p = first + i, valued
+    ``values[byte]``, or no entry when it is ``blank``.  The defaults make
+    a decorated tiling."""
+
+    rows: RunRows
+    values: Sequence = DECORATIONS
+    blank: int = NO_TILE
+
+    def __getitem__(self, key):
+        try:
+            kind, p, q = key
+            byte = self.row(kind, q, p, p + 1)[0]
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if byte == self.blank:
+            raise KeyError(key)
+        return self.values[byte]
+
+    def __len__(self) -> int:
+        return sum(len(run) - run.count(self.blank) for runs in self.rows.values()
+                   for _, run in runs)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return ((kind, first + i, q) for (kind, q), runs in self.rows.items()
+                for first, run in runs for i, byte in enumerate(run) if byte != self.blank)
+
+    def row(self, kind: int, q: int, first: int, stop: int) -> bytes:
+        """The bytes at p = first..stop-1 of row (kind, q), blank off its runs."""
+        out = bytearray([self.blank]) * (stop - first)
+        for f, run in self.rows.get((kind, q), ()):
+            lo, hi = max(f, first), min(f + len(run), stop)
+            if lo < hi:
+                out[lo - first:hi - first] = run[lo - f:hi - f]
+        return bytes(out)
+
+
+def anchor_rows(entries: Mapping[Anchor, int]) -> RunRows:
+    """Runs rows of bytes keyed by anchor, cut where p skips."""
+    rows: dict[tuple[int, int], list[tuple[int, bytearray]]] = {}
+    for (o, p, q), byte in sorted(entries.items(), key=lambda item: item[0][::-1]):
+        runs = rows.setdefault((o, q), [])
+        if runs and runs[-1][0] + len(runs[-1][1]) == p:
+            runs[-1][1].append(byte)
+        else:
+            runs.append((p, bytearray([byte])))
+    return {key: [(first, bytes(run)) for first, run in runs] for key, runs in rows.items()}
+
+
+#: Tile code -> itself or NO_TILE, and -> red count or NO_COUNT.
+NO_COUNT = 255
+_LABELS = DECORATIONS + (None,) * (256 - len(DECORATIONS))
+_FULL = bytes(code if label else NO_TILE for code, label in enumerate(_LABELS))
+_COUNTS = bytes(label.red_count if label else NO_COUNT for label in _LABELS)
+
+
+def to_tiling(patch: PatternPatch) -> Runs:
+    """Every fully colored unit triangle of the window, by tile code."""
+    return Runs({(o, q): [(first, codes.translate(_FULL))]
+                 for o, q, first, codes in patch.colors.tile_codes()})
+
+
+def strip_decoration(window: Runs) -> Runs:
+    """The tiling's red counts."""
+    return Runs({key: [(first, run.translate(_COUNTS)) for first, run in runs]
+                 for key, runs in window.rows.items()}, range(4), NO_COUNT)
 
 
 def _settle(key: int) -> int:
@@ -99,24 +165,26 @@ RULE = bytes(_settle(key) for key in range(256))
 DIGITS = tuple(bytes(code >> shift & 3 for code in range(256)) for shift in (0, 2, 4))
 
 
-def _layout(counts: dict[Anchor, int]) -> tuple[list, list]:
+def _layout(counts: Mapping[Anchor, int]) -> tuple[list, list]:
     """Tile blocks (o, q, first, counts, sides) in (q, o) order, and segment
     runs (d, q, first, codes, readers), codes all NO_COLOR, in (d, q, first)
     order: per segment row, the union of the side spans the blocks need.
     Sides and readers are (segment run, offset) and (block, offset) pairs."""
-    by_row, tiles, need, segs = {}, [], {}, []  # by_row: (q, o) -> {p: count}
-    for (o, p, q), count in counts.items():
-        if not 0 <= count <= 3:
-            raise Inconsistent(f"tile {tile_name(o, p, q)}: red count {count} out of range")
-        by_row.setdefault((q, o), {})[p] = count
-    for (q, o), row in sorted(by_row.items()):
-        ps = sorted(row)
-        cuts = [0, *(i for i in range(1, len(ps)) if ps[i] != ps[i - 1] + 1), len(ps)]
-        for a, b in zip(cuts, cuts[1:]):
-            for side, (d, dp, dq) in enumerate(TILE_SEGMENTS[o]):
-                need.setdefault((d, q + dq), []).append(
-                    (ps[a] + dp, ps[a] + dp + b - a, len(tiles), side))
-            tiles.append((o, q, ps[a], bytes(map(row.__getitem__, ps[a:b])), [None] * 3))
+    if not isinstance(counts, Runs):  # a plain dict, grouped into runs
+        for (o, p, q), count in counts.items():
+            if not 0 <= count <= 3:
+                raise Inconsistent(f"tile {tile_name(o, p, q)}: red count {count} out of range")
+        counts = Runs(anchor_rows(counts), range(4), NO_COUNT)
+    tiles, need, segs = [], {}, []
+    for (o, q), runs in sorted(counts.rows.items(), key=lambda item: item[0][::-1]):
+        for first, run in runs:
+            for row in run.split(bytes([NO_COUNT])):  # the blocks between tiles with none
+                if row:
+                    for side, (d, dp, dq) in enumerate(TILE_SEGMENTS[o]):
+                        need.setdefault((d, q + dq), []).append(
+                            (first + dp, first + dp + len(row), len(tiles), side))
+                    tiles.append((o, q, first, row, [None] * 3))
+                first += len(row) + 1
     for (d, q), spans in sorted(need.items()):
         run = None
         for start, stop, t, side in sorted(spans):
@@ -129,7 +197,7 @@ def _layout(counts: dict[Anchor, int]) -> tuple[list, list]:
     return tiles, segs
 
 
-def reconstruct(counts: dict[Anchor, int]) -> dict[Seg, Color]:
+def reconstruct(counts: Mapping[Anchor, int]) -> Runs:
     """Every segment color the undecorated red counts force, by sweeps over
     tile blocks (whose tiles share no side).  Raises Inconsistent, naming a
     tile by its record, when the counts admit no coloring (corrupted input)."""
@@ -162,5 +230,7 @@ def reconstruct(counts: dict[Anchor, int]) -> dict[Seg, Color]:
                         s, e = todo[u]
                         todo[u] = max(0, min(s, lo - j)), min(len(tiles[u][3]), max(e, hi - j))
         order = order[::-1] if painted else ()
-    return {Seg(d, first + i, q): CODE_COLORS[code] for d, q, first, row, _ in segs
-            for i, code in enumerate(row) if code != NO_COLOR}
+    rows: RunRows = {}
+    for d, q, first, row, _ in segs:
+        rows.setdefault((d, q), []).append((first, bytes(row)))
+    return Runs(rows, CODE_COLORS, NO_COLOR)

@@ -29,6 +29,10 @@ reconstruction on side values: it builds the six triangles around each
 vertex and filters their ``unit_sides`` against the spokes.
 ``worklist_reconstruct`` runs the library's one propagation rule a tile
 at a time from a worklist, where the library sweeps whole tile rows.
+``loop_reference_match`` compares a reconstruction with a reference
+pattern a segment at a time, by mapping lookups, where the command line
+compares row slices, and ``record_write_tiling`` writes a tiling a
+sorted record at a time, where the library writes tile-code columns.
 
 The last section holds measurements only the tests take: a window's
 interior as a dict, its disallowed stars, the layer-block check, the
@@ -41,6 +45,8 @@ from fractions import Fraction
 from trifold.analysis import star_allowed, vertex_star_histogram
 from trifold.errors import Inconsistent, OutOfRegion, SeamConflict, WindowTooSmall
 from trifold.folding import (
+    CODE_COLORS,
+    NO_COLOR,
     TILE_SIDES,
     UP,
     Color,
@@ -68,6 +74,7 @@ from trifold.lattice import (
     unit_tile_segments,
     v2,
 )
+from trifold.patternio import TILING_MAGIC, _region_header
 from trifold.substitution import TriangleColoring, medial_color
 from trifold.tiling import tile_name
 
@@ -596,6 +603,33 @@ def worklist_reconstruct(counts: dict[tuple[int, int, int], int]) -> dict[Seg, C
                         if tile != a and tile in counts:
                             work.append(tile)
     return colors
+
+
+def loop_reference_match(colors, ref: PatternPatch, margin: int) -> tuple[int, int]:
+    """(checked, bad) of ``reconstruct --ref``: every colored segment of
+    the reference's interior eroded by ``margin``, looked up one at a
+    time in ``colors``; bad where it is missing there or differs."""
+    bad = checked = 0
+    spans = ref.region.erode(margin).interior_rows()
+    for d, (by_q, rows) in enumerate(zip(spans, ref.colors.rows), start=1):
+        for q, (first, stop) in by_q.items():
+            f, row = rows[q]
+            for p, code in enumerate(row[first - f:stop - f], start=first):
+                if code != NO_COLOR:
+                    checked += 1
+                    bad += colors.get((d, p, q)) is not CODE_COLORS[code]
+    return checked, bad
+
+
+def record_write_tiling(window, seq: str = "", region=None) -> str:
+    """A tiling file from a mapping of anchors to (red count, slot) labels,
+    a record at a time: positive tiles first, then by (p, q)."""
+    lines = [TILING_MAGIC, f"seq {seq}"]
+    if region is not None:
+        lines.append(_region_header(region))
+    for (o, p, q), (count, slot) in sorted(window.items(), key=lambda i: (-i[0][0], *i[0][1:])):
+        lines.append(f"{tile_name(o, p, q)} {count}" + ("" if slot is None else f" {slot}"))
+    return "\n".join(lines) + "\n"
 
 
 # -- measurements only the tests take -------------------------------------

@@ -8,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trifold
 from trifold.cli import main
@@ -115,6 +117,60 @@ def test_reconstruct_matches_the_reference_up_to_the_rim(tmp_path, capsys):
                        "--margin", "0")
     assert out == f"reconstructed {n} segments\nreference match: {n}/{n}\n"
     assert code == 0
+
+
+def _ball_tiling(tmp_path, seq, radius):
+    from trifold.folding import FoldingSequence, ball_patch
+    from trifold.patternio import write_tiling
+    from trifold.tiling import to_tiling
+    patch = ball_patch(FoldingSequence.parse(seq), radius)
+    til = tmp_path / "ball.til"
+    til.write_text(write_tiling(to_tiling(patch), seq, patch.region))
+    return til
+
+
+@pytest.mark.parametrize("ref_seq, ref_ball, margin, match", [
+    ("(+-)*", 12, 0, "984/1482"),
+    ("(+-)*", 12, 4, "423/621"),
+    ("(+)*", 16, 0, "1482/2661"),
+    ("(+)*", 16, 2, "1482/2010"),
+])
+def test_reconstruct_counts_reference_mismatches(ref_seq, ref_ball, margin, match, tmp_path,
+                                                 capsys):
+    # another word's pattern on the same ball differs on some segments;
+    # a larger ball's segments past the tiling's stay open, and count as
+    # mismatches too
+    til, pat = _ball_tiling(tmp_path, "(+)*", 12), tmp_path / "ref.pat"
+    run(capsys, "generate", "--seq", ref_seq, "--ball", str(ref_ball), "--out", str(pat))
+    assert run(capsys, "reconstruct", "--in", str(til), "--ref", str(pat),
+               "--margin", str(margin)) == (
+        1, f"reconstructed 1482 segments\nreference match: {match}\n", "")
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.text("+-", min_size=1, max_size=3), st.text("+-", min_size=1, max_size=3),
+       st.integers(0, 9), st.integers(-3, 3), st.booleans(),
+       st.lists(st.integers(0, 10 ** 6), max_size=8))
+def test_reference_match_equals_the_lookup_loop(word, other, radius, grow, ball, drops):
+    # the row slices give the checked and bad counts that looking every
+    # reference segment up gives, for every margin, against references
+    # smaller or larger than the tiling, and with tiles left out, which
+    # leaves segments open and cuts the runs
+    from oracles import loop_reference_match
+    from trifold.cli import _reference_match
+    from trifold.folding import FoldingSequence, ball_patch, patch
+    from trifold.tiling import reconstruct, strip_decoration, to_tiling
+
+    tiles = dict(strip_decoration(to_tiling(ball_patch(FoldingSequence(word, True), radius))))
+    keys = sorted(tiles)
+    for i in drops if keys else ():
+        tiles.pop(keys[i % len(keys)], None)
+    colors = reconstruct(tiles)
+    size = max(radius + grow, 0)
+    seq = FoldingSequence(other, True)
+    ref = ball_patch(seq, size) if ball else patch(seq, min(size, 5))
+    for margin in range(size + 2):
+        assert _reference_match(colors, ref, margin) == loop_reference_match(colors, ref, margin)
 
 
 def test_stars_and_period(capsys):

@@ -271,6 +271,22 @@ def test_tiling_roundtrip():
     assert write_tiling(back, seq, p.region) == text
 
 
+@pytest.mark.parametrize("spelling", ["0{}", "+{}", "0_{}", "00{}", "{}\t"])
+@pytest.mark.parametrize("fields", [4, 5])
+def test_tiling_fields_read_as_the_integers_they_spell(spelling, fields):
+    # the record reader parses a count and a slot with int(), so a record
+    # spelling them otherwise (P 0 0 03, P 0 0 +1 2, P 0 0 1 02, ...) still
+    # names its tile: the file reads as the canonical one does
+    p = ball_patch(FoldingSequence.parse("(+-)*"), 4)
+    window = to_tiling(p)
+    lines = write_tiling(window, "s", p.region).splitlines()
+    for i in [i for i, line in enumerate(lines[3:], 3) if len(line.split()) == fields][:2]:
+        parts = lines[i].split()
+        parts[-1] = spelling.format(parts[-1])
+        lines[i] = " ".join(parts)
+    assert read_tiling("\n".join(lines) + "\n") == (window, "s")
+
+
 def test_tiling_parse_validation():
     with pytest.raises(ParseError):
         read_tiling("trifold-tiling v1\nseq x\nP 0 0 9\n")

@@ -2,6 +2,7 @@
 keeps, and properties checked against plain-dict oracles on random
 words, triangles, translated triangles and balls."""
 
+import tracemalloc
 from collections import Counter
 from collections.abc import Mapping
 
@@ -18,6 +19,7 @@ from oracles import (
     dict_translate,
     full_tiles,
     interior_colors,
+    record_write_tiling,
     scan_ball,
     scan_region_tiles,
     tiles_by_lookup,
@@ -35,11 +37,11 @@ from trifold.folding import (
     patch,
     recolor,
 )
-from trifold.lattice import BallRegion, Seg, TriRegion, standard_region
+from trifold.lattice import BallRegion, Seg, TriRegion, standard_region, tile_rows
 from trifold import patternio
 from trifold.patternio import read_pattern, read_tiling, write_pattern, write_tiling
 from trifold.substitution import class_index
-from trifold.tiling import decorate, to_tiling
+from trifold.tiling import DECORATIONS, Runs, anchor_rows, decorate, to_tiling
 
 ALL_UP = FoldingSequence.parse("(+)*")
 
@@ -355,6 +357,112 @@ def test_one_broken_tile_record_only_raises_parse_error(window, header, how, pic
         assert exc.line is not None
         return
     assert back != tiles
+
+
+# -- tiling files: the column reader against the record reader -------------
+
+def _tile_read(read, text):
+    """A reader's tiling as a dict, and its seq; or its ParseError's text
+    and line."""
+    try:
+        tiles, seq = read(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return dict(tiles), seq
+
+
+@exact
+@given(windows, st.booleans())
+def test_tiling_column_and_record_reads_agree(window, header):
+    # a finite word's boundary tiles are missing from its file, and so is
+    # every tile of a file with no region header: those files must take
+    # the record path; a file listing every tile of its region is read by
+    # its layout, unless its triangle is below side 3 (as in a pattern
+    # file, 3 * side records must fit)
+    p = _painted(*window)
+    tiles = to_tiling(p)
+    text = write_tiling(tiles, "s", p.region if header else None)
+    fast, slow = patternio._read_tile_columns(text), patternio._read_tile_records(text)
+    assert slow == (tiles, "s")
+    complete = header and len(tiles) == sum(
+        stop - first for _, _, first, stop in tile_rows(p.region.segment_rows()))
+    if fast is not None:
+        assert complete and fast == slow
+    assert fast is not None or not complete or p.region.side < 3
+
+
+_MUTATIONS = ("count", "drop slot", "slot", "duplicate", "swap", "p", "q", "blank", "crlf")
+
+
+@settings(deadline=None, max_examples=120)
+@given(windows, st.sampled_from(_MUTATIONS), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.integers(1, 3))
+def test_a_mutated_canonical_tiling_reads_as_its_records_say(window, how, pick, other, step):
+    # whichever path takes a file with one line changed, the tiling, or
+    # the ParseError text and line, is the record reader's
+    p = _painted(*window)
+    lines = write_tiling(to_tiling(p), "s", p.region).splitlines()
+    if len(lines) == 3:
+        return
+    i, j = 3 + pick % (len(lines) - 3), 3 + other % (len(lines) - 3)
+    kind, a, b, count, *slot = lines[i].split()
+    line = {
+        "count": [kind, a, b, str((int(count) + step) % 4), *slot],
+        "drop slot": [kind, a, b, count],
+        "slot": [kind, a, b, count, str(step)],
+        "p": [kind, str(int(a) + step - 2), b, count, *slot],
+        "q": [kind, a, str(int(b) + step - 2), count, *slot],
+    }.get(how)
+    if line is not None:
+        lines[i] = " ".join(line)
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines.insert(i, "" if how == "blank" else lines.pop(i) + "\r")
+    text = "\n".join(lines) + "\n"
+    assert _tile_read(read_tiling, text) == _tile_read(patternio._read_tile_records, text)
+
+
+@exact
+@given(windows, st.lists(st.integers(0, 10 ** 6), max_size=8), st.booleans())
+def test_tilings_with_holes_write_as_sorted_records(window, drops, header):
+    # segments left out of a window leave holes in its tile rows, and a
+    # tiling read record by record keeps its rows cut at the holes: both
+    # write a column at a time what a record at a time writes
+    p = _painted(*window)
+    segs = sorted(p.colors)
+    gone = {segs[i % len(segs)] for i in drops} if segs else set()
+    holed = PatternPatch(p.region, {s: c for s, c in p.colors.items() if s not in gone})
+    tiles = to_tiling(holed)
+    region = holed.region if header else None
+    text = write_tiling(tiles, "s", region)
+    assert text == record_write_tiling(tiles, "s", region)
+    back, _ = read_tiling(text)
+    assert back == tiles and write_tiling(back, "s", region) == text
+
+
+_TILE_CODES = [code for code, label in enumerate(DECORATIONS) if label]
+
+
+@exact
+@given(st.dictionaries(st.tuples(st.sampled_from((1, -1)),
+                                 st.integers(-5, 5) | st.integers(-10 ** 9, 10 ** 9),
+                                 st.integers(-5, 5)),
+                       st.sampled_from(_TILE_CODES), max_size=40))
+def test_any_tiling_writes_as_sorted_records(codes):
+    # dense or sparse, as a file read record by record can be: a tiling
+    # whose rows span a far larger box than its tiles is written a record
+    # at a time, in memory its tiles size
+    tiles = Runs(anchor_rows(codes))
+    tracemalloc.start()
+    try:
+        text = write_tiling(tiles, "s")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == record_write_tiling(tiles, "s") and peak < 1_000_000
 
 
 @exact

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import dict_reconstruct, unit_triangle, worklist_reconstruct
 from trifold.errors import Inconsistent
-from trifold.folding import Color, FoldingSequence, ball_patch, patch
+from trifold.folding import COLOR_CODES, NO_COLOR, Color, FoldingSequence, ball_patch, patch
 from trifold.lattice import NEGATIVE, POSITIVE, BallRegion, Seg, unit_tile_segments
-from trifold.tiling import reconstruct, strip_decoration, to_tiling
+from trifold.tiling import NO_TILE, Runs, reconstruct, strip_decoration, to_tiling
 
 RNG = random.Random(3)
 R, B = Color.RED, Color.BLUE
@@ -202,7 +202,7 @@ def damaged_tilings(draw):
         window = ball_patch(seq, draw(st.integers(min(4, top), top)))
     else:
         window = patch(seq, draw(st.integers(2, 6 if periodic else len(word))))
-    tiles = strip_decoration(to_tiling(window))
+    tiles = dict(strip_decoration(to_tiling(window)))
     keys = list(tiles)
     for _ in range(draw(st.integers(0, 2)) if keys else 0):
         key = keys[draw(st.integers(0, len(keys) - 1))]
@@ -257,3 +257,32 @@ def test_row_sweeps_equal_the_worklist_oracle(tiles):
     # in, so sweeping whole rows must give the worklist's coloring, or
     # raise where it raises
     assert _outcome(reconstruct, tiles) == _outcome(worklist_reconstruct, tiles)
+
+
+@settings(deadline=None, max_examples=40)
+@given(damaged_tilings())
+def test_len_is_the_number_of_settled_segments(tiles):
+    # the benchmark counts tiling.reconstruct.segments as len(result)
+    try:
+        colors = reconstruct(tiles)
+    except Inconsistent:
+        return
+    assert len(colors) == len(list(colors)) == len(dict(colors.items()))
+    assert len(colors) == len(worklist_reconstruct(tiles))
+
+
+def test_tilings_are_read_only_runs_of_tile_codes():
+    p = patch(FoldingSequence("+-+"), 3)  # unknown boundary: its tiles are left out
+    window = to_tiling(p)
+    assert isinstance(window, Runs) and all(len(runs) == 1 for runs in window.rows.values())
+    assert NO_TILE in b"".join(run for runs in window.rows.values() for _, run in runs)
+    assert len(window) == len(list(window)) == len(dict(window.items())) > 0
+    with pytest.raises(TypeError):
+        window[(POSITIVE, 0, 0)] = (3, None)
+    for off in ((POSITIVE, 99, 99), (0, 0, 0), (POSITIVE, 0), "P 0 0", None):
+        assert window.get(off) is None and off not in window
+    colors = reconstruct(strip_decoration(window))
+    assert all(colors[Seg(*seg)] is colors[seg] for seg in colors)  # keys equal their Seg
+    want = [COLOR_CODES[colors[(1, p, 0)]] if (1, p, 0) in colors else NO_COLOR
+            for p in range(-9, 9)]
+    assert colors.row(1, 0, -9, 9) == bytes(want) and NO_COLOR in want
